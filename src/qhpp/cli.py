@@ -52,10 +52,6 @@ def _format_vector(vec) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _frac(value: Fraction) -> str:
-    return str(value)
-
-
 def _markdown_table(headers, rows) -> str:
     out = ["| " + " | ".join(headers) + " |",
            "| " + " | ".join("---" for _ in headers) + " |"]
@@ -76,8 +72,8 @@ def _candidate_json(report: screening.ClassificationReport,
         "type": c.name,
         "members": [t.name for t in c.members],
         "L": c.L,
-        "K2": _frac(c.K2),
-        "D": _frac(d),
+        "K2": str(c.K2),
+        "D": str(d),
         "verdicts": [v.to_json() for v in r.verdicts],
         "survived": r.survived,
     }
@@ -106,8 +102,8 @@ def report_to_markdown(report: screening.ClassificationReport) -> str:
     for r in report.candidates:
         c = r.config
         d = c.D
-        d_str = exact.factor_string(int(d)) if d > 0 and d.denominator == 1 else _frac(d)
-        rows.append([c.name, c.L, _frac(c.K2), d_str]
+        d_str = exact.factor_string(int(d)) if d > 0 and d.denominator == 1 else str(d)
+        rows.append([c.name, c.L, str(c.K2), d_str]
                     + [_SHORT[v.outcome] for v in r.verdicts])
     lines = [f"# Screening report, index {report.index}", ""]
     lines.append(_markdown_table(headers, rows))
@@ -157,7 +153,7 @@ def _cmd_table(args) -> int:
     for config in configs:
         d = int(config.D)
         square = "yes" if exact.is_perfect_square(d) else ""
-        rows.append([config.name, config.L, _frac(config.K2),
+        rows.append([config.name, config.L, str(config.K2),
                      exact.factor_string(d), square])
     print(f"# Index-three case {case} candidates ({len(rows)} rows)")
     print()
@@ -305,8 +301,8 @@ def _cmd_candidates(args) -> int:
     rows = []
     for config in configs:
         d = config.D
-        d_str = exact.factor_string(int(d)) if d > 0 and d.denominator == 1 else _frac(d)
-        row = [config.name, config.L, _frac(config.K2), d_str]
+        d_str = exact.factor_string(int(d)) if d > 0 and d.denominator == 1 else str(d)
+        row = [config.name, config.L, str(config.K2), d_str]
         if args.index == 3:
             row = [screening.index3_case(config)] + row
         rows.append(row)
@@ -333,8 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("md", "json"), default="md")
     p.add_argument("--budget", type=int, default=lattice.DEFAULT_BUDGET,
                    help="extension budget for embedding searches")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="reserved; the pipeline currently runs single-threaded")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("table", help="print one of the D tables")

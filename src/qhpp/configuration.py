@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 from . import catalog
 from .catalog import SingularityType
@@ -74,33 +74,33 @@ class Configuration:
     def name(self) -> str:
         return catalog.format_multiset(self.members)
 
-    @property
+    @cached_property
     def L(self) -> int:
         """Total number of exceptional curves in the minimal resolution."""
         return sum(t.curve_count for t in self.members)
 
-    @property
+    @cached_property
     def index(self) -> int:
         return reduce(math.lcm, (t.index for t in self.members), 1)
 
-    @property
+    @cached_property
     def K2(self) -> Fraction:
         """Canonical square: 9 - L minus the per-singularity corrections."""
         return Fraction(9) - self.L + sum((-t.dp_square for t in self.members), Fraction(0))
 
-    @property
+    @cached_property
     def h1_product(self) -> int:
         out = 1
         for t in self.members:
             out *= t.det_r
         return out
 
-    @property
+    @cached_property
     def D(self) -> Fraction:
         """K^2 times the product of the link homology orders."""
         return self.K2 * self.h1_product
 
-    @property
+    @cached_property
     def e_orb(self) -> Fraction | None:
         """Orbifold Euler characteristic; None when a local group order is
         not tabulated (non-cyclic index-three species)."""

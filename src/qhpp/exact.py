@@ -11,10 +11,8 @@ exactness.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "hj_expand",
     "hj_value",
     "is_perfect_square",
@@ -23,10 +21,6 @@ __all__ = [
     "factorize",
     "factor_string",
 ]
-
-# Canonical exact-rational type used across the package.
-Rational = Fraction
-
 
 def hj_expand(p: int, q: int) -> tuple[int, ...]:
     """Hirzebruch-Jung continued fraction of p/q.

@@ -35,11 +35,13 @@ __all__ = [
     "PlumbingEmbedding",
     "ComplementWitness",
     "plumbing_for_reversed_link",
+    "chain_gram",
     "canonical_form",
     "vectors_of_norm",
     "enumerate_embeddings",
     "complement_witness",
     "donaldson_obstruction",
+    "replay_donaldson",
 ]
 
 DEFAULT_BUDGET = 10_000_000
@@ -50,6 +52,10 @@ class ResourceBudgetExceeded(RuntimeError):
     """The embedding search exceeded its extension budget."""
 
 
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
 @dataclass(frozen=True)
 class PlumbingEmbedding:
     """One orbit representative: rows are vertex vectors in input order."""
@@ -57,7 +63,11 @@ class PlumbingEmbedding:
     ambient_rank: int
 
     def gram_entry(self, i: int, j: int) -> int:
-        return -sum(a * b for a, b in zip(self.vectors[i], self.vectors[j]))
+        return -_dot(self.vectors[i], self.vectors[j])
+
+    def gram_matrix(self) -> list[list[int]]:
+        k = len(self.vectors)
+        return [[self.gram_entry(i, j) for j in range(k)] for i in range(k)]
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,16 @@ def plumbing_for_reversed_link(t: SingularityType) -> tuple[int, ...]:
         raise ValueError(f"the link of {t.name} is not a lens space")
     p, q = t.link.p, t.link.q
     return tuple(-a for a in hj_expand(p, p - q))
+
+
+def chain_gram(chains) -> list[list[int]]:
+    """Intersection form of disjoint linear plumbings, vertices in chain
+    order: the weights on the diagonal, 1 between neighbours of one chain,
+    0 elsewhere."""
+    verts = [(ci, pi, w) for ci, chain in enumerate(chains) for pi, w in enumerate(chain)]
+    return [[wi if i == j else int(ci == cj and abs(pi - pj) == 1)
+             for j, (cj, pj, _) in enumerate(verts)]
+            for i, (ci, pi, wi) in enumerate(verts)]
 
 
 def _normalize_chains(lattices) -> list[tuple[int, ...]]:
@@ -144,35 +164,24 @@ def enumerate_embeddings(lattices, ambient_rank: int,
     examined.
     """
     chains = _normalize_chains(lattices)
-    vertex_weights = []
-    vertex_ids = []
-    for ci, chain in enumerate(chains):
-        for pi, w in enumerate(chain):
-            vertex_ids.append((ci, pi))
-            vertex_weights.append(w)
-    total = len(vertex_weights)
+    gram = chain_gram(chains)
+    total = len(gram)
     if total > ambient_rank:
         raise ValueError(
             f"{total} vertices cannot embed independently in rank {ambient_rank}")
 
-    # Required pairing of each vertex pair, as ambient dot products:
-    # dot(v_i, v_i) = -w_i, dot = -1 for adjacent vertices, 0 otherwise.
-    def required_dot(a: tuple[int, int], b: tuple[int, int]) -> int:
-        if a[0] == b[0] and abs(a[1] - b[1]) == 1:
-            return -1
-        return 0
-
-    order = sorted(range(total), key=lambda k: (vertex_weights[k], vertex_ids[k]))
+    # Heaviest weights first; the sort is stable, so ties keep vertex order.
+    order = sorted(range(total), key=lambda k: gram[k][k])
 
     # Each state is one partial-orbit representative: the tuple of vectors
     # placed so far, in placement order.
     states: list[tuple[tuple[int, ...], ...]] = [()]
     examined = 0
     for level, k in enumerate(order):
-        norm = -vertex_weights[k]
+        norm = -gram[k][k]
         cands = vectors_of_norm(norm, ambient_rank)
-        dots = np.array([required_dot(vertex_ids[k], vertex_ids[order[j]])
-                         for j in range(level)], dtype=np.int64)
+        # Ambient dot products are minus the required pairings.
+        dots = np.array([-gram[k][order[j]] for j in range(level)], dtype=np.int64)
         next_states: dict[tuple, tuple[tuple[int, ...], ...]] = {}
         for placed in states:
             examined += len(cands)
@@ -203,22 +212,15 @@ def enumerate_embeddings(lattices, ambient_rank: int,
         results[canonical_form(rows, ambient_rank)] = None
     embeddings = [PlumbingEmbedding(rows, ambient_rank) for rows in sorted(results)]
     for emb in embeddings:
-        _verify_gram(emb, vertex_ids, vertex_weights, required_dot)
+        if emb.gram_matrix() != gram:
+            raise AssertionError("embedding fails its Gram constraints")
     return embeddings
 
 
-def _verify_gram(emb: PlumbingEmbedding, vertex_ids, vertex_weights, required_dot) -> None:
-    for i in range(len(vertex_weights)):
-        for j in range(len(vertex_weights)):
-            expected = vertex_weights[i] if i == j else -required_dot(vertex_ids[i], vertex_ids[j])
-            if emb.gram_entry(i, j) != expected:
-                raise AssertionError("embedding fails its Gram constraints")
-
-
-def complement_witness(emb: PlumbingEmbedding, ambient_rank: int | None = None) -> ComplementWitness:
+def complement_witness(emb: PlumbingEmbedding) -> ComplementWitness:
     """Primitive generator of the orthogonal complement of a corank-one
     embedding, normalized so its first nonzero coordinate is positive."""
-    rank = ambient_rank if ambient_rank is not None else emb.ambient_rank
+    rank = emb.ambient_rank
     rows = [list(map(Fraction, v)) for v in emb.vectors]
     if len(rows) != rank - 1:
         raise ValueError(
@@ -260,8 +262,12 @@ def complement_witness(emb: PlumbingEmbedding, ambient_rank: int | None = None) 
     first = next(x for x in ints if x != 0)
     if first < 0:
         ints = [-x for x in ints]
-    assert all(sum(a * b for a, b in zip(ints, v)) == 0 for v in emb.vectors)
-    return ComplementWitness(tuple(ints), -sum(x * x for x in ints))
+    assert all(_dot(ints, v) == 0 for v in emb.vectors)
+    return ComplementWitness(tuple(ints), -_dot(ints, ints))
+
+
+def _non_lens_members(config: Configuration) -> list[str]:
+    return [t.name for t in config.members if not isinstance(t.link, LensLink)]
 
 
 def donaldson_obstruction(config: Configuration,
@@ -274,7 +280,7 @@ def donaldson_obstruction(config: Configuration,
     square (in particular when no embedding exists at all).
     """
     name = "donaldson"
-    non_lens = [t.name for t in config.members if not isinstance(t.link, LensLink)]
+    non_lens = _non_lens_members(config)
     if non_lens:
         return ObstructionVerdict(
             name, Outcome.NOT_APPLICABLE, {"non_lens_members": non_lens},
@@ -315,3 +321,54 @@ def donaldson_obstruction(config: Configuration,
         )
     evidence["witness_orbit"] = witness_index
     return ObstructionVerdict(name, Outcome.PASS, evidence)
+
+
+def replay_donaldson(config: Configuration, verdict: ObstructionVerdict) -> bool:
+    """Check a saved diagonalization verdict against its witness, searching
+    nothing.
+
+    Every saved orbit must realize the chain Gram matrix in -Z^(n+1), be in
+    canonical form and come in strictly increasing order.  Its complement
+    must be primitive, orthogonal to every vector and have a positive first
+    nonzero entry: the Gram matrix is negative definite, so the complement
+    has rank one and these conditions fix the generator.  PASS needs the
+    first orbit of target square to be the saved witness; OBSTRUCTED needs no
+    saved orbit to reach it.  Only a search shows that the saved orbits are
+    all the orbits, so an OBSTRUCTED verdict is taken at its word on that.
+
+    Malformed evidence raises KeyError, TypeError, ValueError or IndexError.
+    """
+    ev = verdict.evidence
+    non_lens = _non_lens_members(config)
+    if verdict.outcome is Outcome.NOT_APPLICABLE:
+        return bool(non_lens) and ev == {"non_lens_members": non_lens}
+    chains = [list(plumbing_for_reversed_link(t)) for t in config.members]
+    rank = sum(map(len, chains)) + 1
+    keys = {"chains", "ambient_rank", "target_square", "orbits"}
+    if verdict.outcome is Outcome.PASS:
+        keys.add("witness_orbit")
+    if (set(ev) != keys or ev["chains"] != chains or ev["ambient_rank"] != rank
+            or ev["target_square"] != -config.h1_product):
+        return False
+    gram = chain_gram(chains)
+    forms, squares = [], []
+    for orbit in ev["orbits"]:
+        emb = PlumbingEmbedding(tuple(map(tuple, orbit["vectors"])), rank)
+        gen = orbit["complement"]
+        if (set(orbit) != {"vectors", "complement", "square"}
+                or any(len(v) != rank for v in emb.vectors) or emb.gram_matrix() != gram
+                or canonical_form(emb.vectors, rank) != emb.vectors
+                or len(gen) != rank or math.gcd(*gen) != 1
+                or next(x for x in gen if x) < 0
+                or any(_dot(gen, v) for v in emb.vectors)
+                or orbit["square"] != -_dot(gen, gen)):
+            return False
+        forms.append(emb.vectors)
+        squares.append(orbit["square"])
+    if any(a >= b for a, b in zip(forms, forms[1:])):
+        return False
+    target = ev["target_square"]
+    if verdict.outcome is Outcome.PASS:
+        witness = ev["witness_orbit"]
+        return type(witness) is int and target in squares and squares.index(target) == witness
+    return verdict.outcome is Outcome.OBSTRUCTED and target not in squares

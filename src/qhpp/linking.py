@@ -154,12 +154,12 @@ def linking_obstruction(config: Configuration) -> ObstructionVerdict:
         "modulus": modulus,
         "residue": residue,
     }
-    if exact.is_square_unit_mod(residue, modulus):
-        unit = next(u for u in range(1, modulus)
-                    if math.gcd(u, modulus) == 1 and u * u % modulus == residue)
-        evidence["unit"] = unit
+    squares = exact.unit_squares_mod(modulus)
+    if residue in squares:
+        # residue is a unit, so every root of it is one too.
+        evidence["unit"] = next(u for u in range(1, modulus) if u * u % modulus == residue)
         return ObstructionVerdict(name, Outcome.PASS, evidence)
-    evidence["unit_squares"] = sorted(exact.unit_squares_mod(modulus))
+    evidence["unit_squares"] = sorted(squares)
     return ObstructionVerdict(
         name, Outcome.OBSTRUCTED, evidence,
         note=f"{residue} is not a square unit modulo {modulus}",

@@ -4,13 +4,13 @@ For each index the engine first enumerates every singularity configuration
 allowed by the elementary constraints (imported Gorenstein classification,
 pairwise coprimality of the link homology orders, cyclic link homology,
 positivity of the canonical square, the five-singularity bound), then runs
-the obstruction filters in a fixed order:
+the obstruction filters of the ``FILTERS`` table in its order:
 
     cyclic_h1, arithmetic (square D), bmy, donaldson, linking_form, spin_sum
 
-Every filter is an independent predicate of the configuration, so the
-surviving set does not depend on the order of application.  A configuration
-survives when no filter reports OBSTRUCTED.
+Every filter is an independent predicate of the configuration and the search
+budget, so the surviving set does not depend on the order of application.
+A configuration survives when no filter reports OBSTRUCTED.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import Callable, NamedTuple
 
 from . import catalog, exact, floer, lattice, linking
 from .catalog import SingularityType
@@ -31,14 +32,15 @@ __all__ = [
     "cyclic_h1_filter",
     "arithmetic_filter",
     "bmy_filter",
+    "Filter",
+    "FILTERS",
+    "FILTER_ORDER",
+    "screen",
     "CandidateReport",
     "ClassificationReport",
     "classify",
     "replay_verdict",
-    "FILTER_ORDER",
 ]
-
-FILTER_ORDER = ("cyclic_h1", "arithmetic", "bmy", "donaldson", "linking_form", "spin_sum")
 
 # The six index-three case families.  Case 4 pools the A1(2) species with
 # the A(2,2) family: both carry the same canonical-square correction.
@@ -107,11 +109,9 @@ def _sorted_configs(configs) -> tuple[Configuration, ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_candidates(index: int, h1_trivial: bool = True) -> tuple[Configuration, ...]:
+def enumerate_candidates(index: int) -> tuple[Configuration, ...]:
     """All candidate configurations of the given index for a rational
     homology projective plane whose smooth locus has trivial H_1."""
-    if not h1_trivial:
-        raise ValueError("only the H_1(smooth locus) = 0 pipeline is implemented")
     if index == 1:
         # Numerically trivial K is excluded when H_1 of the smooth locus
         # vanishes, so only the 27 imported types with K nontrivial remain;
@@ -252,31 +252,61 @@ def bmy_filter(config: Configuration,
     return ObstructionVerdict(name, Outcome.PASS, evidence)
 
 
-def _anti_ample_impossible(config: Configuration, index: int) -> bool | None:
-    if index != 2:
+_INDEX2_LOG_DEL_PEZZO = frozenset(
+    Configuration.of(ms).key() for ms in catalog.LOG_DEL_PEZZO_INDEX2_18)
+
+
+def _anti_ample_impossible(config: Configuration) -> bool | None:
+    if config.index != 2:
         return None
-    an18 = {Configuration.of(ms).key() for ms in catalog.LOG_DEL_PEZZO_INDEX2_18}
-    return config.key() not in an18
+    return config.key() not in _INDEX2_LOG_DEL_PEZZO
 
 
-_DONALDSON_CACHE: dict = {}
-
-
-def _donaldson(config: Configuration, budget: int) -> ObstructionVerdict:
-    key = config.key()
-    hit = _DONALDSON_CACHE.get(key)
-    if hit is None:
-        hit = lattice.donaldson_obstruction(config, budget=budget)
-        _DONALDSON_CACHE[key] = hit
-    return hit
-
-
-def _linking(config: Configuration, cyclic_ok: bool) -> ObstructionVerdict:
-    if not cyclic_ok:
+def _linking_form(config: Configuration, budget: int) -> ObstructionVerdict:
+    if not (config.dets_pairwise_coprime()
+            and all(t.h1_link.is_cyclic for t in config.members)):
         return ObstructionVerdict(
             "linking_form", Outcome.NOT_APPLICABLE, {},
             note="boundary homology is not cyclic; test precondition fails")
     return linking.linking_obstruction(config)
+
+
+# --------------------------------------------------------------------------
+# The filter table
+# --------------------------------------------------------------------------
+
+class Filter(NamedTuple):
+    """One screening filter.  ``run(config, budget)`` gives its verdict;
+    ``replay(config, verdict)`` re-derives a saved verdict, and may raise on
+    malformed evidence (``replay_verdict`` reads that as a failure)."""
+    name: str
+    run: Callable[[Configuration, int], ObstructionVerdict]
+    replay: Callable[[Configuration, ObstructionVerdict], bool]
+
+
+def _rerun(name: str, run) -> Filter:
+    """A filter that searches nothing: replay runs it again and requires the
+    saved outcome and evidence."""
+    def replay(config: Configuration, verdict: ObstructionVerdict) -> bool:
+        fresh = run(config, lattice.DEFAULT_BUDGET)
+        return fresh.outcome is verdict.outcome and fresh.evidence == verdict.evidence
+    return Filter(name, run, replay)
+
+
+# The entries look the filters up when called, not at import, so a filter
+# replaced on its module (say, by a tracing wrapper) is the one that runs.
+FILTERS = (
+    _rerun("cyclic_h1", lambda config, budget: cyclic_h1_filter(config)),
+    _rerun("arithmetic", lambda config, budget: arithmetic_filter(config)),
+    _rerun("bmy", lambda config, budget: bmy_filter(config, _anti_ample_impossible(config))),
+    Filter("donaldson",
+           lambda config, budget: lattice.donaldson_obstruction(config, budget=budget),
+           lambda config, verdict: lattice.replay_donaldson(config, verdict)),
+    _rerun("linking_form", _linking_form),
+    _rerun("spin_sum", lambda config, budget: floer.spin_sum_obstruction(config)),
+)
+FILTER_ORDER = tuple(f.name for f in FILTERS)
+_FILTERS_BY_NAME = {f.name: f for f in FILTERS}
 
 
 # --------------------------------------------------------------------------
@@ -335,126 +365,29 @@ _REALIZABLE = {
 }
 
 
-def screen(config: Configuration, index: int,
+def screen(config: Configuration,
            budget: int = lattice.DEFAULT_BUDGET) -> tuple[ObstructionVerdict, ...]:
     """Run the full ordered filter chain on one configuration."""
-    v_cyclic = cyclic_h1_filter(config)
-    verdicts = [
-        v_cyclic,
-        arithmetic_filter(config),
-        bmy_filter(config, _anti_ample_impossible(config, index)),
-        _donaldson(config, budget),
-        _linking(config, cyclic_ok=not v_cyclic.obstructed),
-        floer.spin_sum_obstruction(config),
-    ]
-    assert tuple(v.filter for v in verdicts) == FILTER_ORDER
-    return tuple(verdicts)
+    return tuple(f.run(config, budget) for f in FILTERS)
 
 
 def classify(index: int, budget: int = lattice.DEFAULT_BUDGET) -> ClassificationReport:
     """Screen every candidate of the given index and assemble the report."""
     reports = []
     for config in enumerate_candidates(index):
-        verdicts = screen(config, index, budget)
         case = index3_case(config) if index == 3 else None
-        reports.append(CandidateReport(config, verdicts, case))
+        reports.append(CandidateReport(config, screen(config, budget), case))
     realizable = tuple(Configuration.of(ms) for ms in _REALIZABLE[index])
     return ClassificationReport(index, tuple(reports), realizable)
 
 
-# --------------------------------------------------------------------------
-# Evidence replay
-# --------------------------------------------------------------------------
-
 def replay_verdict(config: Configuration, verdict: ObstructionVerdict) -> bool:
-    """Re-check a verdict's evidence without re-running any search."""
-    ev = verdict.evidence
-    out = verdict.outcome
-    if verdict.filter == "cyclic_h1":
-        if out is Outcome.PASS:
-            return config.dets_pairwise_coprime() and all(
-                t.h1_link.is_cyclic for t in config.members)
-        if "non_cyclic" in ev:
-            return any(t.name in ev["non_cyclic"] and not t.h1_link.is_cyclic
-                       for t in config.members)
-        a, b = ev["non_coprime"]
-        dets = {t.name: t.det_r for t in config.members}
-        return math.gcd(dets[a], dets[b]) == ev["gcd"] != 1
-    if verdict.filter == "arithmetic":
-        d = Fraction(ev["D"])
-        if d != config.D:
-            return False
-        is_square = d > 0 and d.denominator == 1 and exact.is_perfect_square(int(d))
-        return is_square == (out is Outcome.PASS)
-    if verdict.filter == "bmy":
-        if out is Outcome.OBSTRUCTED:
-            return Fraction(ev["K2"]) == config.K2 and config.K2 > Fraction(ev["three_e_orb"])
-        return True
-    if verdict.filter == "donaldson":
-        if out is Outcome.NOT_APPLICABLE:
-            return True
-        chains = [tuple(c) for c in ev["chains"]]
-        if chains != [lattice.plumbing_for_reversed_link(t) for t in config.members]:
-            return False
-        rank = ev["ambient_rank"]
-        target = ev["target_square"]
-        if target != -config.h1_product:
-            return False
-        squares = []
-        for orbit in ev["orbits"]:
-            emb = lattice.PlumbingEmbedding(
-                tuple(tuple(v) for v in orbit["vectors"]), rank)
-            expected = _gram_of_chains(chains)
-            k = len(expected)
-            if any(emb.gram_entry(i, j) != expected[i][j]
-                   for i in range(k) for j in range(k)):
-                return False
-            wit = lattice.complement_witness(emb)
-            if wit.square != orbit["square"]:
-                return False
-            squares.append(wit.square)
-        if out is Outcome.PASS:
-            return squares[ev["witness_orbit"]] == target
-        return target not in squares
-    if verdict.filter == "linking_form":
-        if out is Outcome.NOT_APPLICABLE:
-            return True
-        forms = [linking.reversed_link_form(t) for t in config.members]
-        composed = linking.connected_sum_form(forms)
-        if str(composed) != ev["composed"] and not composed.is_trivial:
-            return False
-        if composed.is_trivial:
-            return out is Outcome.PASS
-        residue = (-composed.value) % composed.order
-        if residue != ev["residue"] or composed.order != ev["modulus"]:
-            return False
-        hit = exact.is_square_unit_mod(residue, composed.order)
-        return hit == (out is Outcome.PASS)
-    if verdict.filter == "spin_sum":
-        if out is Outcome.NOT_APPLICABLE:
-            return True
-        sets = []
-        for name, values in ev["per_member"]:
-            member = next(t for t in config.members if t.name == name)
-            recomputed = sorted(floer.spin_d_invariants(member))
-            if [str(v) for v in recomputed] != values:
-                return False
-            sets.append(recomputed)
-        from itertools import product as iproduct
-        sums = sorted({sum(c, Fraction(0)) for c in iproduct(*sets)})
-        if [str(s) for s in sums] != ev["sums"]:
-            return False
-        return (Fraction(ev["target"]) in sums) == (out is Outcome.PASS)
-    raise ValueError(f"unknown filter {verdict.filter!r}")
+    """Re-derive a saved verdict from the configuration, searching nothing.
 
-
-def _gram_of_chains(chains) -> list[list[int]]:
-    verts = [(ci, pi, w) for ci, ch in enumerate(chains) for pi, w in enumerate(ch)]
-    k = len(verts)
-    gram = [[0] * k for _ in range(k)]
-    for i, (ci, pi, w) in enumerate(verts):
-        gram[i][i] = w
-        for j, (cj, pj, _) in enumerate(verts):
-            if i != j and ci == cj and abs(pi - pj) == 1:
-                gram[i][j] = 1
-    return gram
+    False when the filter is unknown, the evidence is malformed, or the
+    outcome or evidence does not follow; never raises on such input.
+    """
+    try:
+        return _FILTERS_BY_NAME[verdict.filter].replay(config, verdict)
+    except (KeyError, TypeError, ValueError, IndexError):
+        return False

@@ -140,13 +140,13 @@ def test_criterion_7_spin_sum_verdicts():
     _check(7, "spin d-invariant sum verdicts with attempted-sum evidence", ok)
 
 
-def test_criterion_8_end_to_end_classification():
-    rep1 = screening.classify(1)
+def test_criterion_8_end_to_end_classification(classified):
+    rep1 = classified(1)
     ok = {r.config.key() for r in rep1.survivors} == {_key(t) for t in tables.INDEX1_SURVIVORS}
-    rep2 = screening.classify(2)
+    rep2 = classified(2)
     ok = ok and {r.config.key() for r in rep2.survivors} == \
         {_key(t) for t in tables.INDEX2_SURVIVORS}
-    rep3 = screening.classify(3)
+    rep3 = classified(3)
     ok = ok and {r.config.key() for r in rep3.survivors} == \
         {_key(t) for t in tables.INDEX3_SURVIVORS}
     ok = ok and {c.key() for c in rep3.unmarked_survivors} == \
@@ -157,7 +157,7 @@ def test_criterion_8_end_to_end_classification():
     _check(8, "classification endpoints for indices 1, 2 and 3", ok)
 
 
-def test_criterion_9_property_suite():
+def test_criterion_9_property_suite(classified):
     ok = True
     # Continued-fraction round trip up to p = 200.
     for p in range(2, 201):
@@ -194,7 +194,7 @@ def test_criterion_9_property_suite():
             ok = ok and (e is None or e >= 0)
     # Filter order does not change the surviving sets.
     for index in (2, 3):
-        report = screening.classify(index)
+        report = classified(index)
         baseline = {r.config.key() for r in report.survivors}
         for perm in itertools.permutations(range(6)):
             survivors = {r.config.key() for r in report.candidates

@@ -1,6 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from qhpp import cli
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -132,13 +139,39 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "table", "--id", "nope")[0] == 2
 
 
-def test_byte_identical_output(capsys):
-    first = run_cli(capsys, "classify", "--index", "2", "--format", "json")[1]
-    second = run_cli(capsys, "classify", "--index", "2", "--format", "json")[1]
-    assert first == second
-    a = run_cli(capsys, "embed", "--graphs", "-2,-10,-2", "--ambient", "4")[1]
-    b = run_cli(capsys, "embed", "--graphs", "-2,-10,-2", "--ambient", "4")[1]
-    assert a == b
+# sha256 of the stdout of each command, recorded before the screening chain
+# became one filter table; every later change must leave them as they are.
+GOLDEN_DIGESTS = {
+    "classify --index 1 --format json": "9b9bcaa7d63d00050b52a08b2822f444c9e530b42a7cfd5d2468fd0cef5fdb7c",
+    "classify --index 1 --format md": "53ea1fd50bbb35c4de96c96277261078d1a3421040c702bf18c033e61195d584",
+    "classify --index 2 --format json": "15d887dc43e5bb68ef29beada73b3703ecaa5a0698f2b0ff27f8dffdac3a4dc9",
+    "classify --index 2 --format md": "26a20defbc8aa6fa7ffe1bb09f05dab3a90ebcfb97447512fc9f6c0bf09dd3e8",
+    "classify --index 3 --format json": "3a42ac06575f49ca92554eacbf2dc79ba78d808acbd9c208b84eeb85cf7b560a",
+    "classify --index 3 --format md": "71a8c0a7059d439aa1020606dece39e4636f20a77b5b0f8d5eedce0d89fc23f2",
+    "table --id index2-D": "c3eb2505476e080d880768392011da2caa59e68a3b90d7c9c1199956522bbfd0",
+    "table --id index3-case1": "711a233d48eaafe851ef7d81a61f25f126f9216138605c469608db83394f657e",
+    "table --id index3-case2": "f796f9b29f56aa8363c83b4bc0f2528a1c21c421df77a3c9e926bcb89f624737",
+    "table --id index3-case3": "1440d33c4cb65556cd1f2fc07f77eea947104bb9333b3f7fc3565550ae321e55",
+    "table --id index3-case4": "2672b516cb65e52fbd349b4cbb06cacff62cd3069b75efa4924b148cb44b68e4",
+    "candidates --index 1": "91c346d6029f2cf74d0f94b38b4f7c72af7a5eb495e6e9b0750db8cc6b98f63f",
+    "candidates --index 2": "2d88294a9f79a4fee928e92541746bba641d9fffe781c5f30bf7319ba7bb64b4",
+    "candidates --index 3": "a395793ab677f34048bf51f7dda1e72024fd1a122f669f50c8cae5d432f2fbf8",
+    "embed --graphs -2,-10,-2 --ambient 4": "b0036a10dfdf00a35062b008170ddeb85c604209709f64a0f09602ae0bf4f752",
+}
+
+
+def test_byte_identical_output():
+    # Each command runs in a fresh interpreter, so nothing cached by an
+    # earlier call can make two outputs agree.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    changed = []
+    for command, digest in GOLDEN_DIGESTS.items():
+        out = subprocess.run([sys.executable, "-m", "qhpp.cli", *command.split()],
+                             capture_output=True, env=env, check=True).stdout
+        if hashlib.sha256(out).hexdigest() != digest:
+            changed.append(command)
+    assert not changed
 
 
 def test_linkform_tokens_with_internal_commas(capsys):

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
 import expected_tables as tables
-from qhpp import exact, screening
+from qhpp import exact, lattice, screening
 from qhpp.configuration import Configuration, Outcome
 
 F = Fraction
@@ -125,8 +127,8 @@ def test_bmy_filter():
     assert v.outcome is Outcome.NOT_APPLICABLE
 
 
-def test_bmy_eliminates_only_k2_among_square_d_candidates():
-    report = screening.classify(2)
+def test_bmy_eliminates_only_k2_among_square_d_candidates(classified):
+    report = classified(2)
     for r in report.candidates:
         if not r.verdict("arithmetic").obstructed:
             expect = r.config.key() == _key("K2")
@@ -144,8 +146,8 @@ def test_cyclic_h1_filter():
     assert v.outcome is Outcome.PASS
 
 
-def test_classify_index1():
-    report = screening.classify(1)
+def test_classify_index1(classified):
+    report = classified(1)
     got = {r.config.key() for r in report.survivors}
     assert got == _keyset(tables.INDEX1_SURVIVORS)
     assert report.cross_checks["every_realizable_type_survives"]
@@ -157,8 +159,8 @@ def test_classify_index1():
     assert by_key[_key("A7")].verdict("donaldson").obstructed
 
 
-def test_classify_index2():
-    report = screening.classify(2)
+def test_classify_index2(classified):
+    report = classified(2)
     got = {r.config.key() for r in report.survivors}
     assert got == _keyset(tables.INDEX2_SURVIVORS)
     assert report.cross_checks["every_realizable_type_survives"]
@@ -172,8 +174,8 @@ def test_classify_index2():
     assert by_key[_key("K1 E8")].verdict("spin_sum").obstructed
 
 
-def test_classify_index3():
-    report = screening.classify(3)
+def test_classify_index3(classified):
+    report = classified(3)
     got = {r.config.key() for r in report.survivors}
     assert got == _keyset(tables.INDEX3_SURVIVORS)
     assert len(report.survivors) == 18
@@ -197,13 +199,13 @@ def test_classify_index3():
             assert r.verdict("arithmetic").obstructed
 
 
-def test_filter_order_insensitivity():
+def test_filter_order_insensitivity(classified):
     # Every filter is a pure predicate of the configuration, so survivors do
     # not depend on evaluation order: recompute the surviving set from the
     # verdict lists under several permutations of the chain.
     import itertools
     for index in (2, 3):
-        report = screening.classify(index)
+        report = classified(index)
         baseline = {r.config.key() for r in report.survivors}
         for perm in itertools.islice(itertools.permutations(range(6)), 0, 24, 5):
             survivors = set()
@@ -214,12 +216,20 @@ def test_filter_order_insensitivity():
             assert survivors == baseline
 
 
-def test_evidence_replays_standalone():
+def test_evidence_replays_standalone(classified):
     for index in (1, 2, 3):
-        report = screening.classify(index)
+        report = classified(index)
         for r in report.candidates:
             for v in r.verdicts:
                 assert screening.replay_verdict(r.config, v), (r.config.name, v.filter)
+
+
+def test_budget_is_honoured_after_a_warm_run(classified):
+    # A verdict depends on the configuration and the budget alone: a search
+    # that fits the default budget must not be reused under a smaller one.
+    classified(3)
+    with pytest.raises(lattice.ResourceBudgetExceeded):
+        screening.classify(3, budget=10)
 
 
 def test_five_singularity_cap():
