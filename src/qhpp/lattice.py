@@ -8,11 +8,25 @@ to +1 and all other pairs to 0.  Embeddings are counted as based objects
 (one vector per vertex); two are identified only when a single signed
 permutation carries one vertex-indexed assignment to the other.
 
-The enumerator backtracks over vertices in order of decreasing weight
-magnitude, pruning partial assignments up to signed permutation at every
-level, so the search tree stays proportional to the number of partial
-orbits.  An explicit extension budget turns runaway searches into a
-ResourceBudgetExceeded error instead of a silent truncation.
+The enumerator places vertices in order of decreasing weight magnitude and
+keeps one state per partial orbit: its canonical form, in which the
+coordinates used so far come first.  This is orderly generation in the sense
+of McKay, "Isomorph-free exhaustive generation", J. Algorithms 26 (1998): a
+state is extended only by vectors in a normal form under part of the
+stabilizer of the placed vectors, and the extended states are
+deduplicated by canonical form.  A new vector splits in two parts.  Its part
+on the used coordinates is built one coordinate at a time and pruned by the
+remaining norm and a Cauchy-Schwarz bound on each required dot product.
+Signed permutations of the unused coordinates fix every placed vector, so its
+part on the fresh coordinates is a nonincreasing partition of the rest of
+its norm into positive squares, placed on the first fresh coordinates.
+Swapping two equal columns fixes them too, so on each run of equal used
+columns the used part is taken nonincreasing.
+
+One unit of the extension budget is one candidate value tried for one
+coordinate of a new vector.  The count is checked as the candidates are
+generated, so an exhausted budget raises ResourceBudgetExceeded, never a
+silent truncation, after work proportional to the budget.
 """
 
 from __future__ import annotations
@@ -21,8 +35,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .catalog import LensLink, SingularityType
 from .configuration import Configuration, ObstructionVerdict, Outcome
@@ -112,9 +124,10 @@ def _normalize_chains(lattices) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def vectors_of_norm(norm: int, rank: int) -> np.ndarray:
+def vectors_of_norm(norm: int, rank: int) -> tuple[tuple[int, ...], ...]:
     """All integer vectors in Z^rank with coordinate squares summing to norm,
-    as an (m, rank) int64 array in lexicographic order."""
+    in lexicographic order.  The search does not use it: it builds only the
+    vectors that meet the Gram constraints, one coordinate at a time."""
     out: list[tuple[int, ...]] = []
 
     def extend(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
@@ -127,7 +140,7 @@ def vectors_of_norm(norm: int, rank: int) -> np.ndarray:
             extend(prefix + (value,), remaining - value * value, slots - 1)
 
     extend((), norm, rank)
-    return np.array(sorted(out), dtype=np.int64).reshape(len(out), rank)
+    return tuple(out)
 
 
 def canonical_form(rows, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -137,7 +150,8 @@ def canonical_form(rows, rank: int) -> tuple[tuple[int, ...], ...]:
     Each column's sign is fixed by making its first nonzero entry (in row
     order) positive; the sign-normalized columns are then sorted.  Matrices
     related by a signed permutation normalize identically, and the output is
-    a total invariant of the orbit.
+    a total invariant of the orbit.  Unused coordinates come last, so the
+    coordinates a canonical assignment uses are a prefix.
     """
     nrows = len(rows)
     cols = []
@@ -154,14 +168,86 @@ def canonical_form(rows, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cols[c][r] for c in range(rank)) for r in range(nrows))
 
 
+def _used_parts(placed, used: int, dots, norm: int, spend):
+    """Every u in Z^used with |u|^2 <= norm and <u, placed[j]> == dots[j] on
+    the first ``used`` coordinates, as pairs (u, norm - |u|^2).
+
+    Built coordinate by coordinate.  A prefix is cut as soon as some required
+    dot product is out of reach of the coordinates left: by Cauchy-Schwarz
+    the rest of <u, p> is at most sqrt(remaining norm * |rest of p|^2).  At
+    the last coordinate a placed vector uses, its dot product forces the
+    value.  ``spend`` is told how many values each coordinate tries.
+    """
+    cols = [[p[c] for p in placed] for c in range(used)]
+    # tails[c][j]: the squared norm of placed[j] on coordinates c..used-1.
+    tails = [[0] * len(placed)]
+    for col in reversed(cols):
+        tails.append([t + x * x for t, x in zip(tails[-1], col)])
+    tails.reverse()
+    out = []
+
+    def extend(c: int, head: tuple[int, ...], rem: int, gaps: list[int]) -> None:
+        if c == used:
+            out.append((head, rem))
+            return
+        col, after = cols[c], tails[c + 1]
+        forced = None
+        for gap, p, tail in zip(gaps, col, after):
+            if p and not tail:
+                if gap % p or forced not in (None, gap // p):
+                    return
+                forced = gap // p
+        bound = math.isqrt(rem)
+        # Swapping two equal columns fixes every placed vector, so on a run
+        # of equal columns u may be taken nonincreasing.
+        high = min(bound, head[-1]) if c and col == cols[c - 1] else bound
+        if forced is None:
+            values = range(-bound, high + 1)
+        elif -bound <= forced <= high:
+            values = (forced,)
+        else:
+            return
+        spend(len(values))
+        for x in values:
+            left = rem - x * x
+            next_gaps = [g - x * p for g, p in zip(gaps, col)]
+            if all(g * g <= left * t for g, t in zip(next_gaps, after)):
+                extend(c + 1, head + (x,), left, next_gaps)
+
+    extend(0, (), norm, list(dots))
+    return out
+
+
+def _fresh_parts(rest: int, slots: int, largest: int, spend):
+    """Nonincreasing tuples of at most ``slots`` positive integers, none above
+    ``largest``, whose squares sum to ``rest``; largest parts first."""
+    if rest == 0:
+        return [()]
+    if slots == 0:
+        return []
+    out = []
+    # The first part x must leave a rest that slots - 1 parts of at most x
+    # can fill: rest <= slots * x^2.
+    low = 1
+    while low * low * slots < rest:
+        low += 1
+    top = min(largest, math.isqrt(rest))
+    if top < low:
+        return out
+    spend(top - low + 1)
+    for x in range(top, low - 1, -1):
+        out.extend((x,) + tail for tail in _fresh_parts(rest - x * x, slots - 1, x, spend))
+    return out
+
+
 def enumerate_embeddings(lattices, ambient_rank: int,
                          budget: int = DEFAULT_BUDGET) -> list[PlumbingEmbedding]:
     """All embeddings of the given linear plumbings into -Z^ambient_rank, one
     representative per signed-permutation orbit, in canonical order.
 
     An empty result means no embedding exists.  Raises
-    ResourceBudgetExceeded if more than ``budget`` candidate extensions are
-    examined.
+    ResourceBudgetExceeded if more than ``budget`` candidate coordinate values
+    are tried.
     """
     chains = _normalize_chains(lattices)
     gram = chain_gram(chains)
@@ -173,32 +259,34 @@ def enumerate_embeddings(lattices, ambient_rank: int,
     # Heaviest weights first; the sort is stable, so ties keep vertex order.
     order = sorted(range(total), key=lambda k: gram[k][k])
 
-    # Each state is one partial-orbit representative: the tuple of vectors
-    # placed so far, in placement order.
+    spent = 0
+
+    def spend(values: int) -> None:
+        nonlocal spent
+        spent += values
+        if spent > budget:
+            raise ResourceBudgetExceeded(
+                f"embedding search exceeded budget of {budget} extensions")
+
+    # Each state is the canonical form of one partial orbit: the vectors
+    # placed so far, in placement order, with the used coordinates first.
     states: list[tuple[tuple[int, ...], ...]] = [()]
-    examined = 0
     for level, k in enumerate(order):
         norm = -gram[k][k]
-        cands = vectors_of_norm(norm, ambient_rank)
         # Ambient dot products are minus the required pairings.
-        dots = np.array([-gram[k][order[j]] for j in range(level)], dtype=np.int64)
-        next_states: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+        dots = [-gram[k][order[j]] for j in range(level)]
+        next_states: dict[tuple[tuple[int, ...], ...], None] = {}
         for placed in states:
-            examined += len(cands)
-            if examined > budget:
-                raise ResourceBudgetExceeded(
-                    f"embedding search exceeded budget of {budget} extensions")
-            if placed:
-                placed_arr = np.array(placed, dtype=np.int64)
-                mask = (cands @ placed_arr.T == dots).all(axis=1)
-                good = cands[mask]
-            else:
-                good = cands
-            for vec in good:
-                assignment = placed + (tuple(int(x) for x in vec),)
-                key = canonical_form(assignment, ambient_rank)
-                next_states.setdefault(key, assignment)
-        states = list(next_states.values())
+            used = sum(1 for col in zip(*placed) if any(col))
+            free = ambient_rank - used
+            for head, rest in _used_parts(placed, used, dots, norm, spend):
+                # Signed permutations of the unused coordinates fix every
+                # placed vector, so the fresh part may be taken positive,
+                # nonincreasing and on the first unused coordinates.
+                for tail in _fresh_parts(rest, free, rest, spend):
+                    vec = head + tail + (0,) * (free - len(tail))
+                    next_states[canonical_form(placed + (vec,), ambient_rank)] = None
+        states = list(next_states)
         if not states:
             return []
 

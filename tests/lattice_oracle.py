@@ -3,12 +3,12 @@
 Enumerates every Gram-respecting vector assignment directly (no pruning, no
 partial-orbit identification) and partitions the results into orbits by
 applying the whole signed-permutation group, using an orbit-minimum
-canonical form unrelated to the production one.
+canonical form unrelated to the production one.  It shares no code with
+``qhpp.lattice``: candidate vectors come from a plain scan of the cube.
 """
 
 import itertools
-
-from qhpp import lattice
+import math
 
 
 def signed_permutations(rank):
@@ -27,6 +27,13 @@ def orbit_min(assignment, rank):
     return min(act(g, assignment) for g in signed_permutations(rank))
 
 
+def norm_vectors(norm, rank):
+    """Every integer vector of Z^rank whose coordinate squares sum to norm."""
+    side = range(-math.isqrt(norm), math.isqrt(norm) + 1)
+    return [v for v in itertools.product(side, repeat=rank)
+            if sum(x * x for x in v) == norm]
+
+
 def brute_force_orbits(chains, rank):
     verts = [(ci, pi, w) for ci, ch in enumerate(chains) for pi, w in enumerate(ch)]
 
@@ -36,7 +43,7 @@ def brute_force_orbits(chains, rank):
     pools = {}
     for _, _, w in verts:
         if -w not in pools:
-            pools[-w] = [tuple(v) for v in lattice.vectors_of_norm(-w, rank)]
+            pools[-w] = norm_vectors(-w, rank)
 
     complete = []
 
@@ -51,4 +58,12 @@ def brute_force_orbits(chains, rank):
                 place(assignment + [vec])
 
     place([])
-    return {orbit_min(a, rank) for a in complete}
+    # Each orbit's images are computed once; the other members of an orbit
+    # are then recognised by lookup.
+    orbits, seen = set(), set()
+    for a in complete:
+        if a not in seen:
+            images = {act(g, a) for g in signed_permutations(rank)}
+            seen |= images
+            orbits.add(min(images))
+    return orbits

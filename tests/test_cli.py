@@ -160,11 +160,15 @@ GOLDEN_DIGESTS = {
 }
 
 
+def _fresh_interpreter_env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+
+
 def test_byte_identical_output():
     # Each command runs in a fresh interpreter, so nothing cached by an
     # earlier call can make two outputs agree.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    env = _fresh_interpreter_env()
     changed = []
     for command, digest in GOLDEN_DIGESTS.items():
         out = subprocess.run([sys.executable, "-m", "qhpp.cli", *command.split()],
@@ -172,6 +176,13 @@ def test_byte_identical_output():
         if hashlib.sha256(out).hexdigest() != digest:
             changed.append(command)
     assert not changed
+
+
+def test_cli_does_not_import_numpy():
+    # The search is pure Python; numpy would only add to every cold start.
+    subprocess.run([sys.executable, "-c",
+                    "import sys, qhpp.cli; assert 'numpy' not in sys.modules"],
+                   env=_fresh_interpreter_env(), check=True)
 
 
 def test_linkform_tokens_with_internal_commas(capsys):

@@ -1,4 +1,8 @@
+import tracemalloc
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qhpp import catalog, lattice
 from qhpp.configuration import Configuration, Outcome
@@ -135,6 +139,44 @@ def test_enumerator_matches_brute_force_oracle(chains, rank):
     assert fast == oracle
 
 
+@st.composite
+def _chains_in_small_rank(draw):
+    rank = draw(st.integers(3, 4))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    assume(sum(sizes) <= rank)
+    chains = [draw(st.lists(st.integers(-10, -2), min_size=n, max_size=n)) for n in sizes]
+    return chains, rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chains_in_small_rank())
+def test_random_chains_match_brute_force_oracle(instance):
+    chains, rank = instance
+    fast = [_orbit_min(e.vectors, rank) for e in lattice.enumerate_embeddings(chains, rank)]
+    assert len(set(fast)) == len(fast)
+    assert set(fast) == _brute_force_orbits(chains, rank)
+
+
+# Orbit counts above the paper's sizes, measured with an earlier, independent
+# implementation of the search (a numpy scan of every vector of each norm).
+RANK_8_TO_10_INSTANCES = [
+    ([[-2, -2, -2, -2], [-10], [-2, -6, -2]], 9, 6),
+    ([[-5, -2, -6, -2, -2, -2], [-2, -2], [-3]], 10, 4),
+    ([[-2, -2, -2, -8, -2, -2, -2, -2, -2]], 10, 2),
+    ([[-11, -2, -2, -2], [-2, -2, -3]], 8, 0),
+    ([[-2, -2, -12, -2, -2], [-3, -3]], 8, 0),
+]
+
+
+@pytest.mark.parametrize("chains,rank,orbits", RANK_8_TO_10_INSTANCES,
+                         ids=[str(c) for c, _, _ in RANK_8_TO_10_INSTANCES])
+def test_rank_8_to_10_orbit_counts(chains, rank, orbits):
+    embeddings = lattice.enumerate_embeddings(chains, rank)
+    assert len(embeddings) == orbits
+    gram = lattice.chain_gram(chains)
+    assert all(e.gram_matrix() == gram for e in embeddings)
+
+
 def test_orbit_representatives_are_inequivalent():
     for chains, rank in [([[-2, -10, -2]], 4), ([[-2, -2, -2], [-9]], 5)]:
         embeddings = lattice.enumerate_embeddings(chains, rank)
@@ -145,6 +187,21 @@ def test_orbit_representatives_are_inequivalent():
 def test_budget_exhaustion_is_loud():
     with pytest.raises(lattice.ResourceBudgetExceeded):
         lattice.enumerate_embeddings([[-2, -2, -3, -2, -2], [-10]], 7, budget=50)
+
+
+def test_budget_bounds_the_work_before_it_runs_out():
+    # Norm 16 has 840,500 vectors in Z^10; the search must not build them
+    # before its first budget check.
+    chains = [[-16] + [-2] * 8]
+    tracemalloc.start()
+    try:
+        with pytest.raises(lattice.ResourceBudgetExceeded):
+            lattice.enumerate_embeddings(chains, 10, budget=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert len(lattice.enumerate_embeddings(chains, 10)) == 1
 
 
 def test_input_validation():
