@@ -10,18 +10,30 @@ permutation carries one vertex-indexed assignment to the other.
 
 The enumerator places vertices in order of decreasing weight magnitude and
 keeps one state per partial orbit: its canonical form, in which the
-coordinates used so far come first.  This is orderly generation in the sense
-of McKay, "Isomorph-free exhaustive generation", J. Algorithms 26 (1998): a
-state is extended only by vectors in a normal form under part of the
-stabilizer of the placed vectors, and the extended states are
-deduplicated by canonical form.  A new vector splits in two parts.  Its part
-on the used coordinates is built one coordinate at a time and pruned by the
-remaining norm and a Cauchy-Schwarz bound on each required dot product.
+coordinates used so far come first.  A new vector splits in two parts.  Its
+part on the used coordinates is built one coordinate at a time and pruned by
+the remaining norm and a Cauchy-Schwarz bound on each required dot product.
 Signed permutations of the unused coordinates fix every placed vector, so its
 part on the fresh coordinates is a nonincreasing partition of the rest of
 its norm into positive squares, placed on the first fresh coordinates.
 Swapping two equal columns fixes them too, so on each run of equal used
 columns the used part is taken nonincreasing.
+
+This is orderly generation in the sense of McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26 (1998): every extension of a state is again a
+canonical form, so no state is ever compared with another.  In a canonical
+state the used columns are sign-normalized (first nonzero entry positive) and
+sorted in decreasing order, and the unused columns are zero.  Appending a
+row keeps the used columns normalized, and keeps them sorted because the
+new entries are nonincreasing wherever two columns were equal.  The fresh
+entries are positive and nonincreasing, so the fresh columns come out
+normalized, sorted among themselves and below every used column.  Since
+``canonical_form`` is a complete invariant of the orbit, distinct states are
+distinct partial orbits.  Conversely the first rows of a canonical form are
+a canonical form, and its last row is one of that state's extensions, so
+every orbit is reached.  ``canonical_form`` is applied once, to each
+finished embedding, after its rows are put back in vertex order.  The
+orthogonal complement of an embedding is computed in integers.
 
 One unit of the extension budget is one candidate value tried for one
 coordinate of a new vector.  The count is checked as the candidates are
@@ -33,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .catalog import LensLink, SingularityType
@@ -178,29 +189,50 @@ def _used_parts(placed, used: int, dots, norm: int, spend):
     the last coordinate a placed vector uses, its dot product forces the
     value.  ``spend`` is told how many values each coordinate tries.
     """
-    cols = [[p[c] for p in placed] for c in range(used)]
+    cols = list(zip(*placed))[:used]
+    # entries[c]: the pairs (j, placed[j][c]) with placed[j][c] != 0;
+    # closing[c]: those of them whose vector uses no coordinate after c;
     # tails[c][j]: the squared norm of placed[j] on coordinates c..used-1.
+    entries = [[(j, p) for j, p in enumerate(col) if p] for col in cols]
+    closing: list[list[tuple[int, int]]] = [[] for _ in range(used)]
     tails = [[0] * len(placed)]
-    for col in reversed(cols):
-        tails.append([t + x * x for t, x in zip(tails[-1], col)])
+    for c in reversed(range(used)):
+        tail = tails[-1][:]
+        for j, p in entries[c]:
+            if not tail[j]:
+                closing[c].append((j, p))
+            tail[j] += p * p
+        tails.append(tail)
     tails.reverse()
+    # Swapping two equal columns fixes every placed vector, so on a run of
+    # equal columns u may be taken nonincreasing.
+    same = [c > 0 and cols[c] == cols[c - 1] for c in range(used)]
     out = []
 
-    def extend(c: int, head: tuple[int, ...], rem: int, gaps: list[int]) -> None:
+    # gaps maps j to the part of dots[j] still to be made up; zero gaps are
+    # left out, since they pass every check.
+    def extend(c: int, head: tuple[int, ...], rem: int, gaps: dict[int, int]) -> None:
         if c == used:
             out.append((head, rem))
             return
-        col, after = cols[c], tails[c + 1]
+        if not rem:
+            # The Cauchy-Schwarz check that let this prefix through had no
+            # norm left, so every gap is 0.  Each coordinate left can only
+            # take 0, one unit apiece; only the first 0 can break a
+            # nonincreasing run.
+            if same[c] and head[-1] < 0:
+                return
+            spend(used - c)
+            out.append((head + (0,) * (used - c), 0))
+            return
         forced = None
-        for gap, p, tail in zip(gaps, col, after):
-            if p and not tail:
-                if gap % p or forced not in (None, gap // p):
-                    return
-                forced = gap // p
+        for j, p in closing[c]:
+            gap = gaps.get(j, 0)
+            if gap % p or forced not in (None, gap // p):
+                return
+            forced = gap // p
         bound = math.isqrt(rem)
-        # Swapping two equal columns fixes every placed vector, so on a run
-        # of equal columns u may be taken nonincreasing.
-        high = min(bound, head[-1]) if c and col == cols[c - 1] else bound
+        high = min(bound, head[-1]) if same[c] else bound
         if forced is None:
             values = range(-bound, high + 1)
         elif -bound <= forced <= high:
@@ -208,13 +240,25 @@ def _used_parts(placed, used: int, dots, norm: int, spend):
         else:
             return
         spend(len(values))
+        col, after = entries[c], tails[c + 1]
         for x in values:
             left = rem - x * x
-            next_gaps = [g - x * p for g, p in zip(gaps, col)]
-            if all(g * g <= left * t for g, t in zip(next_gaps, after)):
+            next_gaps = gaps
+            if x:
+                next_gaps = gaps.copy()
+                for j, p in col:
+                    gap = next_gaps.get(j, 0) - x * p
+                    if gap:
+                        next_gaps[j] = gap
+                    else:
+                        del next_gaps[j]
+            for j, gap in next_gaps.items():
+                if gap * gap > left * after[j]:
+                    break
+            else:
                 extend(c + 1, head + (x,), left, next_gaps)
 
-    extend(0, (), norm, list(dots))
+    extend(0, (), norm, {j: d for j, d in enumerate(dots) if d})
     return out
 
 
@@ -268,25 +312,23 @@ def enumerate_embeddings(lattices, ambient_rank: int,
             raise ResourceBudgetExceeded(
                 f"embedding search exceeded budget of {budget} extensions")
 
-    # Each state is the canonical form of one partial orbit: the vectors
-    # placed so far, in placement order, with the used coordinates first.
-    states: list[tuple[tuple[int, ...], ...]] = [()]
+    # Each state is the canonical form of one partial orbit, with the number
+    # of coordinates it uses: the vectors placed so far, in placement order,
+    # with the used coordinates first.  Extensions are canonical already
+    # (see the module docstring), so no state is compared with another.
+    states: list[tuple[tuple[tuple[int, ...], ...], int]] = [((), 0)]
     for level, k in enumerate(order):
         norm = -gram[k][k]
         # Ambient dot products are minus the required pairings.
         dots = [-gram[k][order[j]] for j in range(level)]
-        next_states: dict[tuple[tuple[int, ...], ...], None] = {}
-        for placed in states:
-            used = sum(1 for col in zip(*placed) if any(col))
+        next_states = []
+        for placed, used in states:
             free = ambient_rank - used
             for head, rest in _used_parts(placed, used, dots, norm, spend):
-                # Signed permutations of the unused coordinates fix every
-                # placed vector, so the fresh part may be taken positive,
-                # nonincreasing and on the first unused coordinates.
                 for tail in _fresh_parts(rest, free, rest, spend):
                     vec = head + tail + (0,) * (free - len(tail))
-                    next_states[canonical_form(placed + (vec,), ambient_rank)] = None
-        states = list(next_states)
+                    next_states.append((placed + (vec,), used + len(tail)))
+        states = next_states
         if not states:
             return []
 
@@ -294,11 +336,10 @@ def enumerate_embeddings(lattices, ambient_rank: int,
     inverse = [0] * total
     for pos, k in enumerate(order):
         inverse[k] = pos
-    results = {}
-    for placed in states:
-        rows = tuple(placed[inverse[k]] for k in range(total))
-        results[canonical_form(rows, ambient_rank)] = None
-    embeddings = [PlumbingEmbedding(rows, ambient_rank) for rows in sorted(results)]
+    results = sorted(canonical_form(tuple(placed[inverse[k]] for k in range(total)),
+                                    ambient_rank)
+                     for placed, _ in states)
+    embeddings = [PlumbingEmbedding(rows, ambient_rank) for rows in results]
     for emb in embeddings:
         if emb.gram_matrix() != gram:
             raise AssertionError("embedding fails its Gram constraints")
@@ -309,49 +350,50 @@ def complement_witness(emb: PlumbingEmbedding) -> ComplementWitness:
     """Primitive generator of the orthogonal complement of a corank-one
     embedding, normalized so its first nonzero coordinate is positive."""
     rank = emb.ambient_rank
-    rows = [list(map(Fraction, v)) for v in emb.vectors]
+    rows = [list(v) for v in emb.vectors]
     if len(rows) != rank - 1:
         raise ValueError(
             f"complement is not rank one: {len(rows)} vectors in rank {rank}")
-    # Fraction-exact row reduction; the kernel of the vector matrix is the
-    # orthogonal complement since the ambient form is minus the dot product.
+    # Fraction-free Gauss-Jordan elimination in integers: a row is cleared
+    # by scaling it with the pivot and is then divided by its gcd.  The
+    # kernel of the vector matrix is the orthogonal complement since the
+    # ambient form is minus the dot product.
     pivots: list[int] = []
-    r = 0
     for c in range(rank):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                scaled = [top[c] * a - row[c] * b for a, b in zip(row, top)]
+                g = math.gcd(*scaled) or 1
+                rows[i] = [a // g for a in scaled]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    if r < len(rows):
+    if len(pivots) < len(rows):
         raise ValueError("embedding vectors are linearly dependent")
     free = [c for c in range(rank) if c not in pivots]
-    assert len(free) == 1
-    sol = [Fraction(0)] * rank
-    sol[free[0]] = Fraction(1)
-    for i, c in enumerate(pivots):
-        sol[c] = -rows[i][free[0]]
-    lcm = 1
-    for x in sol:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in sol]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    assert all(_dot(ints, v) == 0 for v in emb.vectors)
-    return ComplementWitness(tuple(ints), -_dot(ints, ints))
+    if len(free) != 1:
+        raise AssertionError(f"complement has {len(free)} free columns, not one")
+    f = free[0]
+    # Each row now reads d * x[pivot] + a * x[f] = 0; x[f] = lcm of the d
+    # makes every coordinate integral.
+    scale = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
+    sol = [0] * rank
+    sol[f] = scale
+    for row, c in zip(rows, pivots):
+        sol[c] = -row[f] * scale // row[c]
+    g = math.gcd(*sol)
+    if next(x for x in sol if x) < 0:
+        g = -g
+    gen = tuple(x // g for x in sol)
+    if any(_dot(gen, v) for v in emb.vectors):
+        raise AssertionError("complement generator is not orthogonal to the embedding")
+    return ComplementWitness(gen, -_dot(gen, gen))
 
 
 def _non_lens_members(config: Configuration) -> list[str]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
@@ -337,9 +337,12 @@ class ClassificationReport:
     def survivors(self) -> tuple[CandidateReport, ...]:
         return tuple(r for r in self.candidates if r.survived)
 
+    @cached_property
+    def _realizable_keys(self) -> frozenset:
+        return frozenset(c.key() for c in self.realizable)
+
     def is_realizable(self, config: Configuration) -> bool:
-        keys = {c.key() for c in self.realizable}
-        return config.key() in keys
+        return config.key() in self._realizable_keys
 
     @property
     def unmarked_survivors(self) -> tuple[Configuration, ...]:

@@ -67,3 +67,35 @@ def brute_force_orbits(chains, rank):
             seen |= images
             orbits.add(min(images))
     return orbits
+
+
+def complement_generator(vectors, rank):
+    """Primitive generator of the orthogonal complement of rank - 1 integer
+    vectors in Z^rank, first nonzero entry positive, or None when the
+    vectors are linearly dependent.
+
+    Entry i is (-1)^i times the maximal minor with column i deleted: the
+    cofactor expansion of the square matrix that repeats one row shows it is
+    orthogonal to every row.  Minors are expanded along their top row, with
+    the minors of the rows below memoised by column set.
+    """
+    rows = [tuple(v) for v in vectors]
+    assert len(rows) == rank - 1 and all(len(v) == rank for v in rows)
+    memo = {(): 1}
+
+    def minor(cols):
+        # Determinant of the last len(cols) rows on the given columns.
+        if cols not in memo:
+            row = rows[len(rows) - len(cols)]
+            memo[cols] = sum((-1) ** k * row[c] * minor(cols[:k] + cols[k + 1:])
+                             for k, c in enumerate(cols) if row[c])
+        return memo[cols]
+
+    gen = [(-1) ** i * minor(tuple(c for c in range(rank) if c != i))
+           for i in range(rank)]
+    g = math.gcd(*gen)
+    if g == 0:
+        return None
+    if next(x for x in gen if x) < 0:
+        g = -g
+    return tuple(x // g for x in gen)

@@ -112,12 +112,19 @@ def test_complement_requires_corank_one():
         lattice.complement_witness(padded)
 
 
+def test_complement_rejects_dependent_vectors():
+    twice = lattice.PlumbingEmbedding(((1, -1, 0), (1, -1, 0)), 3)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        lattice.complement_witness(twice)
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracle: full assignment enumeration plus explicit orbit
 # partition under the signed-permutation group, with its own canonical form.
 # ---------------------------------------------------------------------------
 
 from lattice_oracle import brute_force_orbits as _brute_force_orbits
+from lattice_oracle import complement_generator as _complement_generator
 from lattice_oracle import orbit_min as _orbit_min
 
 ORACLE_INSTANCES = [
@@ -175,6 +182,52 @@ def test_rank_8_to_10_orbit_counts(chains, rank, orbits):
     assert len(embeddings) == orbits
     gram = lattice.chain_gram(chains)
     assert all(e.gram_matrix() == gram for e in embeddings)
+
+
+def test_complement_witness_matches_minor_oracle():
+    searches = [(c, r) for _, c, r, _ in EMBEDDING_INSTANCES]
+    searches += [(c, r) for c, r, _ in RANK_8_TO_10_INSTANCES]
+    checked = 0
+    for chains, rank in searches:
+        for emb in lattice.enumerate_embeddings(chains, rank):
+            assert lattice.complement_witness(emb).generator == \
+                _complement_generator(emb.vectors, rank)
+            checked += 1
+    assert checked == 31
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_donaldson_complements_match_minor_oracle(classified, index):
+    checked = 0
+    for report in classified(index).candidates:
+        evidence = report.verdict("donaldson").evidence
+        for orbit in evidence.get("orbits", ()):
+            assert tuple(orbit["complement"]) == \
+                _complement_generator(orbit["vectors"], evidence["ambient_rank"])
+            checked += 1
+    assert checked > 0
+
+
+# The fewest extensions each search needs: one unit is one candidate
+# coordinate value.  ``--budget``, DEFAULT_BUDGET and the admission budget of
+# the embedding benchmark pool all count in this unit, so it must not move.
+BUDGET_LOCK = [
+    ([[-2, -2, -2, -2], [-10], [-2, -6, -2]], 9, 5211),
+    ([[-5, -2, -6, -2, -2, -2], [-2, -2], [-3]], 10, 8686),
+    ([[-2, -2, -2, -8, -2, -2, -2, -2, -2]], 10, 1064),
+    ([[-11, -2, -2, -2], [-2, -2, -3]], 8, 1041),
+    ([[-2, -2, -12, -2, -2], [-3, -3]], 8, 3281),
+    ([[-16] + [-2] * 8], 10, 1287),
+    ([[-2, -10, -2]], 4, 44),
+]
+
+
+@pytest.mark.parametrize("chains,rank,budget", BUDGET_LOCK,
+                         ids=[str(c) for c, _, _ in BUDGET_LOCK])
+def test_budget_unit_is_locked(chains, rank, budget):
+    lattice.enumerate_embeddings(chains, rank, budget=budget)
+    with pytest.raises(lattice.ResourceBudgetExceeded):
+        lattice.enumerate_embeddings(chains, rank, budget=budget - 1)
 
 
 def test_orbit_representatives_are_inequivalent():
