@@ -28,7 +28,6 @@ __all__ = [
     "TrefoilSurgeryLink",
     "TabulatedLink",
     "H1",
-    "SPECIES",
     "SingularityType",
     "lookup",
     "parse_token",
@@ -102,11 +101,6 @@ class H1:
 # Species
 # --------------------------------------------------------------------------
 
-# Species codes.  "A", "D", "E", "K" are the rational double points and the
-# index-two series; the remaining codes are the index-three species, named by
-# their resolution-graph families.
-SPECIES = ("A", "D", "E", "K", "A1(1)", "A1(2)", "A(1,1)", "A(1,2)", "A(2,2)", "D(1)", "D(2)")
-
 _LETTER_RANK = {"E": 0, "D": 1, "A": 2, "K": 3}
 
 
@@ -141,10 +135,6 @@ class SingularityType:
             return self.species
         letter, suffix = self.species[0], self.species[1:]
         return f"{letter}{self.n}{suffix}"
-
-    @property
-    def is_gorenstein(self) -> bool:
-        return self.index == 1
 
     def sort_key(self):
         letter = self.species[0]

@@ -20,7 +20,6 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 
 from . import catalog, exact, floer, lattice, linking, screening
 from .configuration import Outcome
@@ -187,6 +186,8 @@ def _cmd_embed(args) -> int:
         raise UsageError(str(exc)) from None
     print(f"# Embeddings of {args.graphs!r} into -Z^{args.ambient}: "
           f"{len(embeddings)} orbit(s)")
+    # The complement has rank one, and so a generator, only at corank one.
+    corank_one = sum(map(len, chains)) == args.ambient - 1
     for idx, emb in enumerate(embeddings, start=1):
         print()
         print(f"orbit {idx}:")
@@ -195,9 +196,10 @@ def _cmd_embed(args) -> int:
             for w in chain:
                 print(f"  {w:>4}  {_format_vector(emb.vectors[offset])}")
                 offset += 1
-        wit = lattice.complement_witness(emb)
-        print(f"  complement generator {_format_vector(wit.generator)} "
-              f"with square {wit.square}")
+        if corank_one:
+            wit = lattice.complement_witness(emb)
+            print(f"  complement generator {_format_vector(wit.generator)} "
+                  f"with square {wit.square}")
     return 0
 
 
@@ -226,19 +228,20 @@ def _cmd_dinv(args) -> int:
 # linkform
 # --------------------------------------------------------------------------
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+/\d+$")
+_FRACTION_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 
 
 def _parse_form_descriptor(token: str) -> linking.CyclicLinkingForm:
     token = token.strip()
-    if _FRACTION_RE.match(token):
-        f = Fraction(token)
-        n = f.denominator
-        if n == 1:
-            return linking.CyclicLinkingForm(1, 0)
-        if math.gcd(f.numerator, n) != 1:
+    m = _FRACTION_RE.match(token)
+    if m:
+        # Numerator and denominator as written, so 2/4 is degenerate, not 1/2.
+        c, n = int(m.group(1)), int(m.group(2))
+        if n == 0:
+            raise UsageError(f"form {token} has a zero denominator")
+        if math.gcd(c, n) != 1:
             raise UsageError(f"form {token} is degenerate")
-        return linking.CyclicLinkingForm(n, f.numerator % n)
+        return linking.CyclicLinkingForm(n, c % n)
     try:
         member = catalog.parse_token(token)
     except ValueError as exc:
@@ -324,10 +327,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    def budget(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
+        return value
+
     p = sub.add_parser("classify", help="run the full screening pipeline for one index")
     p.add_argument("--index", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--format", choices=("md", "json"), default="md")
-    p.add_argument("--budget", type=int, default=lattice.DEFAULT_BUDGET,
+    p.add_argument("--budget", type=budget, default=lattice.DEFAULT_BUDGET,
                    help="extension budget for embedding searches")
     p.set_defaults(func=_cmd_classify)
 
@@ -340,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated chains of comma-separated "
                         "negative weights, e.g. '-2,-10,-2' or '-2,-2,-2;-9'")
     p.add_argument("--ambient", type=int, required=True)
-    p.add_argument("--budget", type=int, default=lattice.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=budget, default=lattice.DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("dinv", help="lens-space d-invariants")

@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .catalog import LensLink, SingularityType
 from .configuration import Configuration, ObstructionVerdict, Outcome
@@ -64,7 +65,7 @@ __all__ = [
     "enumerate_embeddings",
     "complement_witness",
     "donaldson_obstruction",
-    "replay_donaldson",
+    "rebuild_donaldson",
 ]
 
 DEFAULT_BUDGET = 10_000_000
@@ -76,7 +77,7 @@ class ResourceBudgetExceeded(RuntimeError):
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,7 @@ class PlumbingEmbedding:
         return -_dot(self.vectors[i], self.vectors[j])
 
     def gram_matrix(self) -> list[list[int]]:
-        k = len(self.vectors)
-        return [[self.gram_entry(i, j) for j in range(k)] for i in range(k)]
+        return [[-_dot(a, b) for b in self.vectors] for a in self.vectors]
 
 
 @dataclass(frozen=True)
@@ -396,8 +396,43 @@ def complement_witness(emb: PlumbingEmbedding) -> ComplementWitness:
     return ComplementWitness(gen, -_dot(gen, gen))
 
 
-def _non_lens_members(config: Configuration) -> list[str]:
-    return [t.name for t in config.members if not isinstance(t.link, LensLink)]
+def _donaldson_verdict(config: Configuration, search) -> ObstructionVerdict:
+    """The diagonalization verdict of ``config``.  ``search(chains, rank)``
+    gives the embedding orbits of the chains in -Z^rank, in canonical order,
+    as (PlumbingEmbedding, ComplementWitness) pairs."""
+    name = "donaldson"
+    non_lens = [t.name for t in config.members if not isinstance(t.link, LensLink)]
+    if non_lens:
+        return ObstructionVerdict(
+            name, Outcome.NOT_APPLICABLE, {"non_lens_members": non_lens},
+            note="test applies only to configurations of lens-space links",
+        )
+    chains = [plumbing_for_reversed_link(t) for t in config.members]
+    rank = sum(map(len, chains)) + 1
+    target = -config.h1_product
+    orbits = [{"vectors": [list(v) for v in emb.vectors],
+               "complement": list(wit.generator),
+               "square": wit.square}
+              for emb, wit in search(chains, rank)]
+    evidence = {
+        "chains": [list(c) for c in chains],
+        "ambient_rank": rank,
+        "target_square": target,
+        "orbits": orbits,
+    }
+    squares = [o["square"] for o in orbits]
+    if not orbits:
+        return ObstructionVerdict(
+            name, Outcome.OBSTRUCTED, evidence,
+            note="the plumbing lattice does not embed at all",
+        )
+    if target not in squares:
+        return ObstructionVerdict(
+            name, Outcome.OBSTRUCTED, evidence,
+            note=f"complement squares {sorted(squares)} never reach {target}",
+        )
+    evidence["witness_orbit"] = squares.index(target)
+    return ObstructionVerdict(name, Outcome.PASS, evidence)
 
 
 def donaldson_obstruction(config: Configuration,
@@ -409,96 +444,42 @@ def donaldson_obstruction(config: Configuration,
     link homology orders.  OBSTRUCTED when no embedding orbit attains that
     square (in particular when no embedding exists at all).
     """
-    name = "donaldson"
-    non_lens = _non_lens_members(config)
-    if non_lens:
-        return ObstructionVerdict(
-            name, Outcome.NOT_APPLICABLE, {"non_lens_members": non_lens},
-            note="test applies only to configurations of lens-space links",
-        )
-    chains = [plumbing_for_reversed_link(t) for t in config.members]
-    n = sum(len(c) for c in chains)
-    ambient = n + 1
-    target = -config.h1_product
-    embeddings = enumerate_embeddings(chains, ambient, budget=budget)
-    orbits = []
-    witness_index = None
-    for idx, emb in enumerate(embeddings):
-        wit = complement_witness(emb)
-        orbits.append({
-            "vectors": [list(v) for v in emb.vectors],
-            "complement": list(wit.generator),
-            "square": wit.square,
-        })
-        if wit.square == target and witness_index is None:
-            witness_index = idx
-    evidence = {
-        "chains": [list(c) for c in chains],
-        "ambient_rank": ambient,
-        "target_square": target,
-        "orbits": orbits,
-    }
-    if not embeddings:
-        return ObstructionVerdict(
-            name, Outcome.OBSTRUCTED, evidence,
-            note="the plumbing lattice does not embed at all",
-        )
-    if witness_index is None:
-        squares = sorted(o["square"] for o in orbits)
-        return ObstructionVerdict(
-            name, Outcome.OBSTRUCTED, evidence,
-            note=f"complement squares {squares} never reach {target}",
-        )
-    evidence["witness_orbit"] = witness_index
-    return ObstructionVerdict(name, Outcome.PASS, evidence)
+    def search(chains, rank):
+        return [(emb, complement_witness(emb))
+                for emb in enumerate_embeddings(chains, rank, budget=budget)]
+    return _donaldson_verdict(config, search)
 
 
-def replay_donaldson(config: Configuration, verdict: ObstructionVerdict) -> bool:
-    """Check a saved diagonalization verdict against its witness, searching
-    nothing.
+def rebuild_donaldson(config: Configuration, evidence) -> ObstructionVerdict:
+    """The diagonalization verdict of ``config`` rebuilt from saved evidence,
+    searching nothing: the saved orbits stand in for the search's.
 
-    Every saved orbit must realize the chain Gram matrix in -Z^(n+1), be in
-    canonical form and come in strictly increasing order.  Its complement
-    must be primitive, orthogonal to every vector and have a positive first
-    nonzero entry: the Gram matrix is negative definite, so the complement
-    has rank one and these conditions fix the generator.  PASS needs the
-    first orbit of target square to be the saved witness; OBSTRUCTED needs no
-    saved orbit to reach it.  Only a search shows that the saved orbits are
-    all the orbits, so an OBSTRUCTED verdict is taken at its word on that.
+    Each saved orbit must be one a search could return: it realizes the
+    chain Gram matrix, is in canonical form, and the orbits come in strictly
+    increasing order.  Its complement must be primitive, orthogonal to the
+    orbit and have a positive first nonzero entry; the Gram matrix is
+    negative definite, so these conditions fix the generator.  A saved
+    ``witness_orbit`` must be an int, since ``==`` takes 0.0 or False for 0.
+    Only a search shows that the saved orbits are all the orbits, so an
+    OBSTRUCTED verdict is taken at its word on that.
 
     Malformed evidence raises KeyError, TypeError, ValueError or IndexError.
     """
-    ev = verdict.evidence
-    non_lens = _non_lens_members(config)
-    if verdict.outcome is Outcome.NOT_APPLICABLE:
-        return bool(non_lens) and ev == {"non_lens_members": non_lens}
-    chains = [list(plumbing_for_reversed_link(t)) for t in config.members]
-    rank = sum(map(len, chains)) + 1
-    keys = {"chains", "ambient_rank", "target_square", "orbits"}
-    if verdict.outcome is Outcome.PASS:
-        keys.add("witness_orbit")
-    if (set(ev) != keys or ev["chains"] != chains or ev["ambient_rank"] != rank
-            or ev["target_square"] != -config.h1_product):
-        return False
-    gram = chain_gram(chains)
-    forms, squares = [], []
-    for orbit in ev["orbits"]:
-        emb = PlumbingEmbedding(tuple(map(tuple, orbit["vectors"])), rank)
-        gen = orbit["complement"]
-        if (set(orbit) != {"vectors", "complement", "square"}
-                or any(len(v) != rank for v in emb.vectors) or emb.gram_matrix() != gram
-                or canonical_form(emb.vectors, rank) != emb.vectors
-                or len(gen) != rank or math.gcd(*gen) != 1
-                or next(x for x in gen if x) < 0
-                or any(_dot(gen, v) for v in emb.vectors)
-                or orbit["square"] != -_dot(gen, gen)):
-            return False
-        forms.append(emb.vectors)
-        squares.append(orbit["square"])
-    if any(a >= b for a, b in zip(forms, forms[1:])):
-        return False
-    target = ev["target_square"]
-    if verdict.outcome is Outcome.PASS:
-        witness = ev["witness_orbit"]
-        return type(witness) is int and target in squares and squares.index(target) == witness
-    return verdict.outcome is Outcome.OBSTRUCTED and target not in squares
+    def saved(chains, rank):
+        gram = chain_gram(chains)
+        pairs = []
+        for orbit in evidence["orbits"]:
+            emb = PlumbingEmbedding(tuple(map(tuple, orbit["vectors"])), rank)
+            gen = tuple(orbit["complement"])
+            if (any(len(v) != rank for v in emb.vectors) or emb.gram_matrix() != gram
+                    or canonical_form(emb.vectors, rank) != emb.vectors
+                    or (pairs and pairs[-1][0].vectors >= emb.vectors)
+                    or len(gen) != rank or math.gcd(*gen) != 1
+                    or next(x for x in gen if x) < 0
+                    or any(_dot(gen, v) for v in emb.vectors)):
+                raise ValueError("saved orbit is not one the search returns")
+            pairs.append((emb, ComplementWitness(gen, -_dot(gen, gen))))
+        if "witness_orbit" in evidence and type(evidence["witness_orbit"]) is not int:
+            raise TypeError("witness_orbit is not an int")
+        return pairs
+    return _donaldson_verdict(config, saved)

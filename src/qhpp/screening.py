@@ -277,20 +277,17 @@ def _linking_form(config: Configuration, budget: int) -> ObstructionVerdict:
 
 class Filter(NamedTuple):
     """One screening filter.  ``run(config, budget)`` gives its verdict;
-    ``replay(config, verdict)`` re-derives a saved verdict, and may raise on
-    malformed evidence (``replay_verdict`` reads that as a failure)."""
+    ``rebuild(config, evidence)`` gives it again from saved evidence,
+    searching nothing, and may raise on malformed evidence
+    (``replay_verdict`` reads that as a failure)."""
     name: str
     run: Callable[[Configuration, int], ObstructionVerdict]
-    replay: Callable[[Configuration, ObstructionVerdict], bool]
+    rebuild: Callable[[Configuration, object], ObstructionVerdict]
 
 
 def _rerun(name: str, run) -> Filter:
-    """A filter that searches nothing: replay runs it again and requires the
-    saved outcome and evidence."""
-    def replay(config: Configuration, verdict: ObstructionVerdict) -> bool:
-        fresh = run(config, lattice.DEFAULT_BUDGET)
-        return fresh.outcome is verdict.outcome and fresh.evidence == verdict.evidence
-    return Filter(name, run, replay)
+    """A filter that searches nothing: its verdict is rebuilt by running it again."""
+    return Filter(name, run, lambda config, evidence: run(config, lattice.DEFAULT_BUDGET))
 
 
 # The entries look the filters up when called, not at import, so a filter
@@ -301,7 +298,7 @@ FILTERS = (
     _rerun("bmy", lambda config, budget: bmy_filter(config, _anti_ample_impossible(config))),
     Filter("donaldson",
            lambda config, budget: lattice.donaldson_obstruction(config, budget=budget),
-           lambda config, verdict: lattice.replay_donaldson(config, verdict)),
+           lambda config, evidence: lattice.rebuild_donaldson(config, evidence)),
     _rerun("linking_form", _linking_form),
     _rerun("spin_sum", lambda config, budget: floer.spin_sum_obstruction(config)),
 )
@@ -385,12 +382,14 @@ def classify(index: int, budget: int = lattice.DEFAULT_BUDGET) -> Classification
 
 
 def replay_verdict(config: Configuration, verdict: ObstructionVerdict) -> bool:
-    """Re-derive a saved verdict from the configuration, searching nothing.
+    """Re-derive a saved verdict from the configuration, searching nothing:
+    rebuild it from its evidence and require the saved outcome and evidence.
 
     False when the filter is unknown, the evidence is malformed, or the
     outcome or evidence does not follow; never raises on such input.
     """
     try:
-        return _FILTERS_BY_NAME[verdict.filter].replay(config, verdict)
+        fresh = _FILTERS_BY_NAME[verdict.filter].rebuild(config, verdict.evidence)
+        return fresh.outcome is verdict.outcome and fresh.evidence == verdict.evidence
     except (KeyError, TypeError, ValueError, IndexError):
         return False

@@ -63,6 +63,22 @@ def test_embed_usage_error(capsys):
     assert "error" in err
 
 
+def test_embed_below_corank_one_prints_no_complement(capsys):
+    # Two vertices in rank 5: the complement has rank three, so no generator.
+    code, out, err = run_cli(capsys, "embed", "--graphs", "-5,-2", "--ambient", "5")
+    assert code == 0 and not err
+    assert "2 orbit(s)" in out and "complement" not in out
+
+
+def test_budget_below_one_is_a_usage_error(capsys):
+    for budget in ("0", "-1"):
+        for argv in (["classify", "--index", "1"], ["embed", "--graphs", "-9", "--ambient", "2"]):
+            code, out, err = run_cli(capsys, *argv, "--budget", budget)
+            assert code == 2 and not out
+            assert [line for line in err.splitlines() if "error:" in line] == \
+                [f"qhpp {argv[0]}: error: argument --budget: budget must be at least 1, got {budget}"]
+
+
 def test_classify_index2_markdown(capsys):
     code, out, _ = run_cli(capsys, "classify", "--index", "2")
     assert code == 0
@@ -130,6 +146,14 @@ def test_linkform_fractions(capsys):
     code, out, _ = run_cli(capsys, "linkform", "--sum", "3/4")
     assert code == 0
     assert "PASS" in out
+
+
+def test_linkform_fraction_errors(capsys):
+    # 1/0 has no form; 2/4 is read as written, not reduced to 1/2.
+    for token, message in (("1/0", "error: form 1/0 has a zero denominator"),
+                           ("2/4", "error: form 2/4 is degenerate")):
+        code, out, err = run_cli(capsys, "linkform", "--sum", token)
+        assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_usage_errors(capsys):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import pytest
@@ -302,6 +303,18 @@ def test_donaldson_pass_cases():
         assert v.outcome is Outcome.PASS, tokens
         witness = v.evidence["orbits"][v.evidence["witness_orbit"]]
         assert witness["square"] == v.evidence["target_square"]
+
+
+def test_rebuild_donaldson_matches_the_search(classified):
+    # Rebuilt from its evidence after a JSON round trip, every Donaldson
+    # verdict of indices 1-3 is the one the search gave.
+    for index in (1, 2, 3):
+        for report in classified(index).candidates:
+            verdict = report.verdict("donaldson")
+            evidence = json.loads(json.dumps(verdict.evidence))
+            rebuilt = lattice.rebuild_donaldson(report.config, evidence)
+            assert (rebuilt.outcome, rebuilt.evidence, rebuilt.note) == \
+                (verdict.outcome, verdict.evidence, verdict.note), report.config.name
 
 
 def test_donaldson_not_applicable_for_non_lens_links():

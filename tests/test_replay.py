@@ -95,10 +95,21 @@ def test_replay_rejects_every_tampered_verdict(classified, index):
 
 
 def test_replay_rejects_malformed_input(classified):
-    report = classified(1).candidates[0]
-    for verdict in report.verdicts:
-        for evidence in (None, [], "evidence", 3):
-            bad = ObstructionVerdict(verdict.filter, verdict.outcome, evidence)
-            assert screening.replay_verdict(report.config, bad) is False
+    # E8's Donaldson verdict is NOT_APPLICABLE; A8's is OBSTRUCTED and A4's
+    # PASS, so their malformed evidence reaches the rebuild from orbits.
+    reports = {r.config.name: r for r in classified(1).candidates}
+    for name in ("E8", "A8", "A4"):
+        for verdict in reports[name].verdicts:
+            malformed = [None, [], "evidence", 3, {"orbits": None}]
+            if "orbits" in verdict.evidence:
+                ev = verdict.evidence
+                orbit = ev["orbits"][0]
+                malformed += [{**ev, "orbits": None}] + [
+                    {**ev, "orbits": [{**orbit, "vectors": [vector] + orbit["vectors"][1:]}]}
+                    for vector in (5, None)]
+            for evidence in malformed:
+                bad = ObstructionVerdict(verdict.filter, verdict.outcome, evidence)
+                assert screening.replay_verdict(reports[name].config, bad) is False
+    report = reports["E8"]
     assert screening.replay_verdict(
         report.config, ObstructionVerdict(["donaldson"], Outcome.PASS, {})) is False
