@@ -51,6 +51,17 @@ def _format_vector(vec) -> str:
     return "".join(parts) if parts else "0"
 
 
+_ROW_HEADERS = ["Type", "L", "K^2", "D"]
+
+
+def _row(config) -> list:
+    """The columns Type, L, K^2 and D of a configuration, with D factored
+    when it is a positive integer."""
+    d = config.D
+    d_str = exact.factor_string(int(d)) if d > 0 and d.denominator == 1 else str(d)
+    return [config.name, config.L, str(config.K2), d_str]
+
+
 def _markdown_table(headers, rows) -> str:
     out = ["| " + " | ".join(headers) + " |",
            "| " + " | ".join("---" for _ in headers) + " |"]
@@ -96,14 +107,9 @@ def report_to_json(report: screening.ClassificationReport) -> dict:
 
 
 def report_to_markdown(report: screening.ClassificationReport) -> str:
-    headers = ["Type", "L", "K^2", "D"] + list(screening.FILTER_ORDER)
-    rows = []
-    for r in report.candidates:
-        c = r.config
-        d = c.D
-        d_str = exact.factor_string(int(d)) if d > 0 and d.denominator == 1 else str(d)
-        rows.append([c.name, c.L, str(c.K2), d_str]
-                    + [_SHORT[v.outcome] for v in r.verdicts])
+    headers = _ROW_HEADERS + list(screening.FILTER_ORDER)
+    rows = [_row(r.config) + [_SHORT[v.outcome] for v in r.verdicts]
+            for r in report.candidates]
     lines = [f"# Screening report, index {report.index}", ""]
     lines.append(_markdown_table(headers, rows))
     lines.append("")
@@ -147,16 +153,11 @@ def _cmd_table(args) -> int:
         print(_markdown_table(["Type", "D"], rows))
         return 0
     case = int(args.id[-1])
-    configs = screening.enumerate_index3_case(case)
-    rows = []
-    for config in configs:
-        d = int(config.D)
-        square = "yes" if exact.is_perfect_square(d) else ""
-        rows.append([config.name, config.L, str(config.K2),
-                     exact.factor_string(d), square])
+    rows = [_row(config) + ["" if screening.arithmetic_filter(config).obstructed else "yes"]
+            for config in screening.enumerate_index3_case(case)]
     print(f"# Index-three case {case} candidates ({len(rows)} rows)")
     print()
-    print(_markdown_table(["Type", "L", "K^2", "D", "D square"], rows))
+    print(_markdown_table(_ROW_HEADERS + ["D square"], rows))
     return 0
 
 
@@ -213,7 +214,8 @@ def _cmd_dinv(args) -> int:
         raise UsageError("--lens expects 'p,q'")
     p, q = int(m.group(1)), int(m.group(2))
     try:
-        labels = sorted(floer.spin_labels(p, q)) if args.spin else list(range(p))
+        spin = floer.spin_labels(p, q)  # raises on invalid p and q, p = 0 included
+        labels = sorted(spin) if args.spin else range(p)
         values = [(i, floer.d_lens(p, q, i)) for i in labels]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -274,21 +276,17 @@ def _cmd_linkform(args) -> int:
         raise UsageError("--sum needs at least one descriptor")
     forms = [_parse_form_descriptor(t) for t in tokens]
     try:
-        composed = linking.connected_sum_form(forms)
+        verdict = linking.boundary_verdict(forms)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    print(f"composed form: ({composed})")
-    if composed.is_trivial:
+    evidence = verdict.evidence
+    print(f"composed form: ({evidence['composed']})")
+    if evidence["modulus"] == 1:
         print("verdict: PASS (trivial group)")
-        return 0
-    residue = (-composed.value) % composed.order
-    required = f"(-1/{composed.order})"
-    if exact.is_square_unit_mod(residue, composed.order):
-        print(f"verdict: PASS ({residue} is a square unit mod {composed.order}; "
-              f"form is isomorphic to {required})")
     else:
-        print(f"verdict: OBSTRUCTED ({residue} is not a square unit mod "
-              f"{composed.order}; form is not isomorphic to {required})")
+        holds = "is" if verdict.outcome is Outcome.PASS else "is not"
+        print(f"verdict: {verdict.outcome} ({evidence['residue']} {holds} a square unit mod "
+              f"{evidence['modulus']}; form {holds} isomorphic to ({evidence['required_class']}))")
     return 0
 
 
@@ -297,18 +295,11 @@ def _cmd_linkform(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_candidates(args) -> int:
-    configs = screening.enumerate_candidates(args.index)
-    headers = ["Type", "L", "K^2", "D"]
-    if args.index == 3:
-        headers = ["Case"] + headers
+    headers = (["Case"] if args.index == 3 else []) + _ROW_HEADERS
     rows = []
-    for config in configs:
-        d = config.D
-        d_str = exact.factor_string(int(d)) if d > 0 and d.denominator == 1 else str(d)
-        row = [config.name, config.L, str(config.K2), d_str]
-        if args.index == 3:
-            row = [screening.index3_case(config)] + row
-        rows.append(row)
+    for config in screening.enumerate_candidates(args.index):
+        case = [screening.index3_case(config)] if args.index == 3 else []
+        rows.append(case + _row(config))
     print(f"# Candidate configurations, index {args.index} ({len(rows)} rows)")
     print()
     print(_markdown_table(headers, rows))

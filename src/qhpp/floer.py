@@ -93,12 +93,8 @@ def d_trefoil_surgery(p: int, q: int, i: int) -> Fraction:
         raise ValueError(f"invalid surgery coefficient {p}/{q}")
     if not 0 <= i < p:
         raise ValueError(f"spin-c label {i} out of range for {p}/{q} surgery")
-    if p == 1:
-        d_reversed_lens = Fraction(0)
-    else:
-        d_reversed_lens = -d_lens(p, q % p, i)
     vmax = max(v_trefoil(i // q), v_trefoil((p + q + 1 - i) // q))
-    return d_reversed_lens - 2 * vmax
+    return -d_lens(p, q % p, i) - 2 * vmax
 
 
 def trefoil_surgery_d_invariants(p: int, q: int = 1) -> tuple[Fraction, ...]:

@@ -215,16 +215,6 @@ def _used_parts(placed, used: int, dots, norm: int, spend):
         if c == used:
             out.append((head, rem))
             return
-        if not rem:
-            # The Cauchy-Schwarz check that let this prefix through had no
-            # norm left, so every gap is 0.  Each coordinate left can only
-            # take 0, one unit apiece; only the first 0 can break a
-            # nonincreasing run.
-            if same[c] and head[-1] < 0:
-                return
-            spend(used - c)
-            out.append((head + (0,) * (used - c), 0))
-            return
         forced = None
         for j, p in closing[c]:
             gap = gaps.get(j, 0)

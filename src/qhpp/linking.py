@@ -24,6 +24,7 @@ __all__ = [
     "connected_sum_form",
     "is_isomorphic",
     "linking_obstruction",
+    "boundary_verdict",
 ]
 
 
@@ -48,8 +49,6 @@ class CyclicLinkingForm:
         return self.order == 1
 
     def negate(self) -> "CyclicLinkingForm":
-        if self.is_trivial:
-            return self
         return CyclicLinkingForm(self.order, (-self.value) % self.order)
 
     def __str__(self):
@@ -58,12 +57,6 @@ class CyclicLinkingForm:
 
 def lens_linking_form(p: int, q: int) -> CyclicLinkingForm:
     """Linking form of L(p,q): the class (q/p) on Z/p."""
-    if p == 1:
-        if q != 0:
-            raise ValueError("the trivial lens space is L(1,0)")
-        return CyclicLinkingForm(1, 0)
-    if not (0 < q < p and math.gcd(p, q) == 1):
-        raise ValueError(f"invalid lens space parameters ({p}, {q})")
     return CyclicLinkingForm(p, q)
 
 
@@ -71,8 +64,6 @@ def surgery_linking_form(framing: int) -> CyclicLinkingForm:
     """Linking form (-1/k) of +k surgery on a knot, independent of the knot."""
     if framing < 1:
         raise ValueError(f"framing must be a positive integer, got {framing}")
-    if framing == 1:
-        return CyclicLinkingForm(1, 0)
     return CyclicLinkingForm(framing, framing - 1)
 
 
@@ -91,17 +82,13 @@ def reversed_link_form(t: SingularityType) -> CyclicLinkingForm | None:
 def connected_sum_form(forms) -> CyclicLinkingForm:
     """Compose forms on groups of pairwise coprime order over the diagonal
     generator (1, ..., 1) of the product group."""
-    forms = [f for f in forms if not f.is_trivial]
-    if not forms:
-        return CyclicLinkingForm(1, 0)
+    forms = list(forms)
     orders = [f.order for f in forms]
     for i, a in enumerate(orders):
         for b in orders[i + 1:]:
             if math.gcd(a, b) != 1:
                 raise ValueError(f"orders {a} and {b} are not coprime")
-    total = 1
-    for n in orders:
-        total *= n
+    total = math.prod(orders)
     value = sum(f.value * (total // f.order) for f in forms) % total
     return CyclicLinkingForm(total, value)
 
@@ -143,17 +130,22 @@ def linking_obstruction(config: Configuration) -> ObstructionVerdict:
                 note=f"linking form of the link of {t.name} is not tabulated",
             )
         forms.append(f)
+    return boundary_verdict(forms)
+
+
+def boundary_verdict(forms) -> ObstructionVerdict:
+    """The square-unit test on the connected sum of ``forms``: the composed
+    form c/N passes when -c = u^2 (mod N) for a unit u, i.e. when it is
+    isomorphic to (-1/N).  Raises ValueError on orders that are not
+    pairwise coprime."""
+    name = "linking_form"
     composed = connected_sum_form(forms)
     modulus = composed.order
+    evidence = {"composed": str(composed), "modulus": modulus}
     if composed.is_trivial:
-        return ObstructionVerdict(name, Outcome.PASS, {"composed": "0", "modulus": 1})
+        return ObstructionVerdict(name, Outcome.PASS, evidence)
     residue = (-composed.value) % modulus
-    evidence = {
-        "composed": str(composed),
-        "required_class": f"-1/{modulus}",
-        "modulus": modulus,
-        "residue": residue,
-    }
+    evidence.update(required_class=f"-1/{modulus}", residue=residue)
     squares = exact.unit_squares_mod(modulus)
     if residue in squares:
         # residue is a unit, so every root of it is one too.

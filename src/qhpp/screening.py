@@ -42,16 +42,23 @@ __all__ = [
     "replay_verdict",
 ]
 
-# The six index-three case families.  Case 4 pools the A1(2) species with
-# the A(2,2) family: both carry the same canonical-square correction.
-_INDEX3_CASES = (
-    (1, (("A1(1)", (1,)),)),
-    (2, (("A(1,1)", None),)),
-    (3, (("A(1,2)", None),)),
-    (4, (("A1(2)", (1,)), ("A(2,2)", None))),
-    (5, (("D(1)", None),)),
-    (6, (("D(2)", None),)),
+# The non-Gorenstein families as (case, species, values of n): the K family
+# of index two (case None), then the six index-three cases.  Case 4 pools
+# the A1(2) species with the A(2,2) family: both carry the same
+# canonical-square correction.  D(1) and D(2) take odd n only, since even n
+# gives non-cyclic link homology.  No member has more than 11 curves, as
+# L < 9 - dp_square <= 9 + 8/3.
+_FAMILIES = (
+    (None, "K", range(1, 12)),
+    (1, "A1(1)", (1,)),
+    (2, "A(1,1)", range(3, 12)),
+    (3, "A(1,2)", range(2, 12)),
+    (4, "A1(2)", (1,)),
+    (4, "A(2,2)", range(2, 12)),
+    (5, "D(1)", range(5, 12, 2)),
+    (6, "D(2)", range(5, 12, 2)),
 )
+_CASE_OF_SPECIES = {species: case for case, species, _ in _FAMILIES}
 
 
 def _l_max(dp_total: Fraction) -> int:
@@ -118,53 +125,34 @@ def enumerate_candidates(index: int) -> tuple[Configuration, ...]:
         # keep those with pairwise coprime determinants.
         configs = [Configuration.of(ms) for ms in catalog.GORENSTEIN_K_NONTRIVIAL]
         return _sorted_configs(c for c in configs if c.dets_pairwise_coprime())
-    if index == 2:
-        # Coprimality forces exactly one index-two singularity: two K's have
-        # determinants 4n and 4m with common factor 4.
-        out = []
-        budget = _l_max(Fraction(-1))
-        for n in range(1, budget + 1):
-            base = catalog.lookup("K", n)
-            out.extend(_extend_base(base, budget - n))
-        return _sorted_configs(out)
-    if index == 3:
-        out = []
-        for case, families in _INDEX3_CASES:
-            out.extend(_case_candidates(case, families))
-        return tuple(out)
-    raise ValueError(f"index must be 1, 2 or 3, got {index}")
-
-
-def _case_candidates(case: int, families) -> tuple[Configuration, ...]:
-    out = []
-    # Case-4 generation screens coprimality against the index-three member
-    # only at the primes 2 and 3; overlaps at larger primes stay in the
-    # candidate table and fall to the arithmetic or diagonalization filters.
-    base_rule = _coprime_away_from_6 if case == 4 else _coprime
-    for species, ns in families:
-        if ns is None:
-            probe = {"A(1,1)": 3, "A(1,2)": 2, "A(2,2)": 2, "D(1)": 5, "D(2)": 5}[species]
-            dp = catalog.lookup(species, probe).dp_square
-            lmax = _l_max(dp)
-            start = probe
-            step = 2 if species.startswith("D") else 1
-            ns = range(start, lmax + 1, step)
+    if index not in (2, 3):
+        raise ValueError(f"index must be 1, 2 or 3, got {index}")
+    # Index two has exactly one K: two K's have determinants 4n and 4m with
+    # common factor 4.  Each index-three case is sorted on its own.
+    cases: dict[int | None, list[Configuration]] = {}
+    for case, species, ns in _FAMILIES:
+        if (case is None) != (index == 2):  # a family of the other index
+            continue
+        # Case-4 generation screens coprimality against the index-three
+        # member only at the primes 2 and 3; overlaps at larger primes stay
+        # in the candidate table and fall to the arithmetic or
+        # diagonalization filters.
+        base_rule = _coprime_away_from_6 if case == 4 else _coprime
+        out = cases.setdefault(case, [])
         for n in ns:
             base = catalog.lookup(species, n)
             lmax = _l_max(base.dp_square)
-            if base.curve_count > lmax:
-                continue
-            out.extend(_extend_base(base, lmax - base.curve_count, base_rule))
-    return _sorted_configs(out)
+            if base.curve_count <= lmax:
+                out.extend(_extend_base(base, lmax - base.curve_count, base_rule))
+    return tuple(c for configs in cases.values() for c in _sorted_configs(configs))
 
 
 def index3_case(config: Configuration) -> int:
     """Which of the six index-three case families a candidate belongs to."""
-    base = config.members[0]
-    for case, families in _INDEX3_CASES:
-        if any(base.species == sp for sp, _ in families):
-            return case
-    raise ValueError(f"{config.name} has no index-three member")
+    case = _CASE_OF_SPECIES.get(config.members[0].species)
+    if case is None:
+        raise ValueError(f"{config.name} has no index-three member")
+    return case
 
 
 def enumerate_index3_case(case: int) -> tuple[Configuration, ...]:

@@ -30,9 +30,11 @@ def test_dinv_full(capsys):
 
 
 def test_dinv_rejects_bad_params(capsys):
-    code, _, err = run_cli(capsys, "dinv", "--lens", "4,2")
-    assert code == 2
-    assert "error" in err
+    # With p = 0 there is no spin-c label whose value could fail.
+    for lens in ("4,2", "0,0", "0,1"):
+        code, out, err = run_cli(capsys, "dinv", "--lens", lens)
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid lens space parameters (p, q) = ({lens.replace(',', ', ')})\n"
 
 
 def test_embed_single_chain(capsys):
@@ -146,6 +148,28 @@ def test_linkform_fractions(capsys):
     code, out, _ = run_cli(capsys, "linkform", "--sum", "3/4")
     assert code == 0
     assert "PASS" in out
+
+
+LINKFORM_OUTPUTS = {
+    "K1,E6": "composed form: (5/12)\nverdict: OBSTRUCTED (7 is not a square unit mod 12; "
+             "form is not isomorphic to (-1/12))\n",
+    "A2(1,2),D5": "composed form: (7/36)\nverdict: OBSTRUCTED (29 is not a square unit "
+                  "mod 36; form is not isomorphic to (-1/36))\n",
+    "A2(1,2),E8": "composed form: (4/9)\nverdict: OBSTRUCTED (5 is not a square unit mod 9; "
+                  "form is not isomorphic to (-1/9))\n",
+    "3/4": "composed form: (3/4)\nverdict: PASS (1 is a square unit mod 4; "
+           "form is isomorphic to (-1/4))\n",
+    "4/9,-1/4": "composed form: (7/36)\nverdict: OBSTRUCTED (29 is not a square unit "
+                "mod 36; form is not isomorphic to (-1/36))\n",
+    "E8": "composed form: (0)\nverdict: PASS (trivial group)\n",
+    "E8,A1(1)": "composed form: (2/3)\nverdict: PASS (1 is a square unit mod 3; "
+                "form is isomorphic to (-1/3))\n",
+}
+
+
+def test_linkform_full_output(capsys):
+    for spec, expected in LINKFORM_OUTPUTS.items():
+        assert run_cli(capsys, "linkform", "--sum", spec) == (0, expected, ""), spec
 
 
 def test_linkform_fraction_errors(capsys):

@@ -17,6 +17,8 @@ def test_surgery_linking_form_values():
     assert linking.surgery_linking_form(3) == CyclicLinkingForm(3, 2)
     assert linking.surgery_linking_form(4) == CyclicLinkingForm(4, 3)
     assert linking.surgery_linking_form(1).is_trivial
+    with pytest.raises(ValueError):
+        linking.surgery_linking_form(0)
 
 
 def test_form_validation():
@@ -28,6 +30,10 @@ def test_form_validation():
         CyclicLinkingForm(1, 1)
     with pytest.raises(ValueError):
         linking.lens_linking_form(6, 4)
+    with pytest.raises(ValueError):
+        linking.lens_linking_form(1, 1)
+    with pytest.raises(ValueError):
+        linking.lens_linking_form(4, 0)
 
 
 def test_connected_sum_values():
@@ -40,12 +46,17 @@ def test_connected_sum_values():
     single = linking.connected_sum_form([CyclicLinkingForm(9, 4)])
     assert single == CyclicLinkingForm(9, 4)
     assert linking.connected_sum_form([]) .is_trivial
+    trivial = CyclicLinkingForm(1, 0)
+    assert linking.connected_sum_form([trivial, CyclicLinkingForm(9, 4)]) == \
+        CyclicLinkingForm(9, 4)
+    assert linking.connected_sum_form([trivial, trivial]) == trivial
     with pytest.raises(ValueError):
         linking.connected_sum_form([CyclicLinkingForm(4, 1), CyclicLinkingForm(6, 1)])
 
 
 def test_negation_consistency_up_to_200():
     # -L(p,q) = L(p, p-q), and the form of a reversal is the negation.
+    assert linking.lens_linking_form(1, 0).negate() == CyclicLinkingForm(1, 0)
     for p in range(2, 201):
         for q in range(1, p):
             if math.gcd(p, q) == 1:

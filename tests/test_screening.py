@@ -35,6 +35,19 @@ def test_index3_case_counts():
     assert len(screening.enumerate_candidates(3)) == 131
 
 
+def test_index3_case_round_trip():
+    # The index-three species of each case, as the paper's case split lists them.
+    species = {1: {"A1(1)"}, 2: {"A(1,1)"}, 3: {"A(1,2)"}, 4: {"A1(2)", "A(2,2)"},
+               5: {"D(1)"}, 6: {"D(2)"}}
+    for case, names in species.items():
+        configs = screening.enumerate_index3_case(case)
+        assert {c.members[0].species for c in configs} == names
+        assert {screening.index3_case(c) for c in configs} == {case}
+    for index in (1, 2):
+        with pytest.raises(ValueError):
+            screening.index3_case(screening.enumerate_candidates(index)[0])
+
+
 def _assert_case_table(case, expected):
     configs = screening.enumerate_index3_case(case)
     got = {c.key(): exact.factor_string(int(c.D)) for c in configs}
