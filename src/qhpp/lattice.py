@@ -8,7 +8,7 @@ to +1 and all other pairs to 0.  Embeddings are counted as based objects
 (one vector per vertex); two are identified only when a single signed
 permutation carries one vertex-indexed assignment to the other.
 
-The enumerator places vertices in order of decreasing weight magnitude and
+The enumerator places vertices in order of increasing weight magnitude and
 keeps one state per partial orbit: its canonical form, in which the
 coordinates used so far come first.  A new vector splits in two parts.  Its
 part on the used coordinates is built one coordinate at a time and pruned by
@@ -289,9 +289,15 @@ def enumerate_embeddings(lattices, ambient_rank: int,
     if total > ambient_rank:
         raise ValueError(
             f"{total} vertices cannot embed independently in rank {ambient_rank}")
+    # No vector of norm w uses more than w coordinates, so the search runs in
+    # this rank and the rows are padded with zeros, which sort last.
+    rank = min(ambient_rank, -sum(gram[k][k] for k in range(total)))
 
-    # Heaviest weights first; the sort is stable, so ties keep vertex order.
-    order = sorted(range(total), key=lambda k: gram[k][k])
+    # Lightest weights first; the sort is stable, so ties keep vertex order.
+    # A -2 vertex has one fresh shape, (1, 1), so the early levels stay
+    # narrow, and a heavy vertex placed last meets the most required dot
+    # products, where forced values and the Cauchy-Schwarz cut prune hardest.
+    order = sorted(range(total), key=lambda k: -gram[k][k])
 
     spent = 0
 
@@ -313,7 +319,7 @@ def enumerate_embeddings(lattices, ambient_rank: int,
         dots = [-gram[k][order[j]] for j in range(level)]
         next_states = []
         for placed, used in states:
-            free = ambient_rank - used
+            free = rank - used
             for head, rest in _used_parts(placed, used, dots, norm, spend):
                 for tail in _fresh_parts(rest, free, rest, spend):
                     vec = head + tail + (0,) * (free - len(tail))
@@ -326,10 +332,11 @@ def enumerate_embeddings(lattices, ambient_rank: int,
     inverse = [0] * total
     for pos, k in enumerate(order):
         inverse[k] = pos
-    results = sorted(canonical_form(tuple(placed[inverse[k]] for k in range(total)),
-                                    ambient_rank)
+    results = sorted(canonical_form(tuple(placed[inverse[k]] for k in range(total)), rank)
                      for placed, _ in states)
-    embeddings = [PlumbingEmbedding(rows, ambient_rank) for rows in results]
+    pad = (0,) * (ambient_rank - rank)
+    embeddings = [PlumbingEmbedding(tuple(row + pad for row in rows), ambient_rank)
+                  for rows in results]
     for emb in embeddings:
         if emb.gram_matrix() != gram:
             raise AssertionError("embedding fails its Gram constraints")

@@ -1,10 +1,17 @@
-"""Independent brute-force oracle for embedding-orbit enumeration.
+"""Independent oracles for embedding-orbit enumeration.
 
-Enumerates every Gram-respecting vector assignment directly (no pruning, no
-partial-orbit identification) and partitions the results into orbits by
-applying the whole signed-permutation group, using an orbit-minimum
-canonical form unrelated to the production one.  It shares no code with
-``qhpp.lattice``: candidate vectors come from a plain scan of the cube.
+``brute_force_orbits`` enumerates every Gram-respecting vector assignment
+directly (no pruning, no partial-orbit identification) and partitions the
+results into orbits by applying the whole signed-permutation group, using an
+orbit-minimum canonical form unrelated to the production one.  It is
+factorial in the rank, so it runs at rank 4 and below.
+
+``naive_orbits`` reaches rank 10: it places vertices in input order, tries
+every vector of each norm, and keeps one partial assignment per multiset of
+columns taken up to sign.
+
+Neither shares code with ``qhpp.lattice``: candidate vectors come from a plain
+scan of the cube and from a recursive generator.
 """
 
 import itertools
@@ -99,3 +106,55 @@ def complement_generator(vectors, rank):
     if next(x for x in gen if x) < 0:
         g = -g
     return tuple(x // g for x in gen)
+
+
+def _vectors_of_norm(norm, rank):
+    """Every vector of Z^rank whose coordinate squares sum to norm, built by
+    choosing the first coordinate and recursing on the rest."""
+    if rank == 0:
+        if norm == 0:
+            yield ()
+        return
+    bound = math.isqrt(norm)
+    for x in range(-bound, bound + 1):
+        for rest in _vectors_of_norm(norm - x * x, rank - 1):
+            yield (x,) + rest
+
+
+def column_key(rows, rank):
+    """The multiset of the columns of ``rows``, each taken up to sign: a
+    complete invariant of the rows under signed permutations of Z^rank."""
+    counts = {}
+    for c in range(rank):
+        col = tuple(row[c] for row in rows)
+        key = frozenset((col, tuple(-x for x in col)))
+        counts[key] = counts.get(key, 0) + 1
+    return frozenset(counts.items())
+
+
+def naive_orbits(chains, rank):
+    """The embedding orbits of the chains in -Z^rank, as a dict from the
+    column key of each orbit to one representative.
+
+    Vertices are placed in input order.  Every vector of the vertex's norm is
+    tried against every Gram entry to the vertices placed before it, and the
+    partial assignments are kept one per column key.
+    """
+    verts = [(ci, pi, w) for ci, ch in enumerate(chains) for pi, w in enumerate(ch)]
+    pools = {}
+    states = {column_key((), rank): ()}
+    for k, (ck, pk, wk) in enumerate(verts):
+        if -wk not in pools:
+            pools[-wk] = list(_vectors_of_norm(-wk, rank))
+        # Neighbours in a chain pair to +1 in -Z^rank: their dot product is -1.
+        required = [-1 if ci == ck and abs(pi - pk) == 1 else 0
+                    for ci, pi, _ in verts[:k]]
+        next_states = {}
+        for rows in states.values():
+            for vec in pools[-wk]:
+                if all(sum(x * y for x, y in zip(vec, row)) == r
+                       for row, r in zip(rows, required)):
+                    grown = rows + (vec,)
+                    next_states.setdefault(column_key(grown, rank), grown)
+        states = next_states
+    return states

@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhpp import cli
 
@@ -241,3 +246,56 @@ def test_linkform_tokens_with_internal_commas(capsys):
     code, out, _ = run_cli(capsys, "linkform", "--sum", "A2(1,2),E8")
     assert code == 0
     assert "5 is not a square unit mod 9" in out
+
+
+# ---------------------------------------------------------------------------
+# Input fuzz: generated argv for every verb, good and bad values alike.
+# ---------------------------------------------------------------------------
+
+_SPECIES = st.one_of(
+    st.from_regex(r"[ADEKX][0-9]{1,2}(\((1|2|3|1,1|1,2|2,2|2,1)\))?", fullmatch=True),
+    st.sampled_from(["A0", "K0", "E5", "D3", "A1(", "(1,2)", "", " ", "A-1"]))
+_FRACTIONS = st.builds("{}/{}".format, st.integers(-50, 50), st.integers(0, 50))
+_WEIGHTS = st.integers(-20, 3).map(str) | st.sampled_from(["", "x", "--2", "2.5"])
+_GRAPHS = st.lists(st.lists(_WEIGHTS, min_size=1, max_size=4).map(",".join),
+                   min_size=1, max_size=3).map(";".join)
+_RANKS = st.integers(-2, 12).map(str)
+_BUDGETS = st.integers(-3, 10**4).map(str)
+
+
+def _flags(**options):
+    """argv for one verb: each option is drawn present or absent."""
+    parts = [st.one_of(st.just([]), value.map(lambda v, f=flag: [f, v]))
+             for flag, value in options.items()]
+    return st.tuples(*parts).map(lambda ps: [x for p in ps for x in p])
+
+
+_ARGV = st.one_of(
+    _flags(**{"--index": st.integers(0, 4).map(str),
+              "--format": st.sampled_from(["md", "json", "xml"]),
+              "--budget": _BUDGETS}).map(lambda a: ["classify", *a]),
+    _flags(**{"--id": st.sampled_from(["index2-D", "index3-case4", "index3-case5"])})
+    .map(lambda a: ["table", *a]),
+    _flags(**{"--graphs": _GRAPHS, "--ambient": _RANKS, "--budget": _BUDGETS})
+    .map(lambda a: ["embed", *a]),
+    _flags(**{"--lens": st.builds("{},{}".format, st.integers(0, 200), st.integers(-3, 200))
+              | st.sampled_from(["", "4", "4,1,1", "a,b", "-4,1"])})
+    .flatmap(lambda a: st.sampled_from([[], ["--spin"]]).map(lambda s: ["dinv", *a, *s])),
+    _flags(**{"--sum": st.lists(_SPECIES | _FRACTIONS, max_size=4).map(",".join)})
+    .map(lambda a: ["linkform", *a]),
+    _flags(**{"--index": st.integers(0, 4).map(str)}).map(lambda a: ["candidates", *a]),
+    st.lists(st.sampled_from(["embed", "--ambient", "3", "-2", "--graphs", "--budget",
+                              "frob", "--help", "-h", "--"]), max_size=5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGV)
+def test_cli_input_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1

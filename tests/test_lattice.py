@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -165,6 +166,65 @@ def test_random_chains_match_brute_force_oracle(instance):
     assert set(fast) == _brute_force_orbits(chains, rank)
 
 
+# ---------------------------------------------------------------------------
+# Naive oracle: vertices in input order, every vector of each norm tried, and
+# partial assignments kept one per multiset of columns up to sign.  It reaches
+# the ranks of the paper's searches and of the embedding benchmark pool.
+# ---------------------------------------------------------------------------
+
+from lattice_oracle import column_key as _column_key
+from lattice_oracle import naive_orbits as _naive_orbits
+
+POOL_FILE = Path(__file__).resolve().parents[1] / "bench" / "embed_pool.json"
+
+
+def _assert_matches_naive(chains, rank, orbit_rows):
+    keys = [_column_key(rows, rank) for rows in orbit_rows]
+    naive = _naive_orbits(chains, rank)
+    assert len(keys) == len(set(keys)) == len(naive)
+    assert set(keys) == set(naive)
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_donaldson_orbits_match_naive_oracle(classified, index):
+    searches = {}
+    for report in classified(index).candidates:
+        evidence = report.verdict("donaldson").evidence
+        if "orbits" in evidence:
+            key = (tuple(map(tuple, evidence["chains"])), evidence["ambient_rank"])
+            searches[key] = [tuple(map(tuple, o["vectors"])) for o in evidence["orbits"]]
+    for (chains, rank), orbit_rows in searches.items():
+        _assert_matches_naive(chains, rank, orbit_rows)
+    assert searches
+
+
+def test_benchmark_pool_matches_naive_oracle():
+    instances = json.loads(POOL_FILE.read_text())["instances"]
+    assert len(instances) == 18
+    for inst in instances:
+        chains, rank = inst["chains"], inst["rank"]
+        embeddings = lattice.enumerate_embeddings(chains, rank)
+        assert len(embeddings) == inst["orbits"]
+        _assert_matches_naive(chains, rank, [e.vectors for e in embeddings])
+
+
+@st.composite
+def _chains_in_rank_5_to_7(draw):
+    rank = draw(st.integers(5, 7))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    assume(rank - 2 <= sum(sizes) <= rank)
+    chains = [draw(st.lists(st.integers(-7, -2), min_size=n, max_size=n)) for n in sizes]
+    return chains, rank
+
+
+@settings(max_examples=25, deadline=None)
+@given(_chains_in_rank_5_to_7())
+def test_random_chains_match_naive_oracle(instance):
+    chains, rank = instance
+    _assert_matches_naive(chains, rank,
+                          [e.vectors for e in lattice.enumerate_embeddings(chains, rank)])
+
+
 # Orbit counts above the paper's sizes, measured with an earlier, independent
 # implementation of the search (a numpy scan of every vector of each norm).
 RANK_8_TO_10_INSTANCES = [
@@ -211,15 +271,16 @@ def test_donaldson_complements_match_minor_oracle(classified, index):
 
 # The fewest extensions each search needs: one unit is one candidate
 # coordinate value.  ``--budget``, DEFAULT_BUDGET and the admission budget of
-# the embedding benchmark pool all count in this unit, so it must not move.
+# the embedding benchmark pool all count in this unit, so it must not move;
+# the figures move only with the search tree, here lightest vertices first.
 BUDGET_LOCK = [
-    ([[-2, -2, -2, -2], [-10], [-2, -6, -2]], 9, 5211),
-    ([[-5, -2, -6, -2, -2, -2], [-2, -2], [-3]], 10, 8686),
-    ([[-2, -2, -2, -8, -2, -2, -2, -2, -2]], 10, 1064),
-    ([[-11, -2, -2, -2], [-2, -2, -3]], 8, 1041),
-    ([[-2, -2, -12, -2, -2], [-3, -3]], 8, 3281),
-    ([[-16] + [-2] * 8], 10, 1287),
-    ([[-2, -10, -2]], 4, 44),
+    ([[-2, -2, -2, -2], [-10], [-2, -6, -2]], 9, 410),
+    ([[-5, -2, -6, -2, -2, -2], [-2, -2], [-3]], 10, 1193),
+    ([[-2, -2, -2, -8, -2, -2, -2, -2, -2]], 10, 236),
+    ([[-11, -2, -2, -2], [-2, -2, -3]], 8, 167),
+    ([[-2, -2, -12, -2, -2], [-3, -3]], 8, 94),
+    ([[-16] + [-2] * 8], 10, 113),
+    ([[-2, -10, -2]], 4, 43),
 ]
 
 
@@ -256,6 +317,30 @@ def test_budget_bounds_the_work_before_it_runs_out():
         tracemalloc.stop()
     assert peak < 5 * 2**20
     assert len(lattice.enumerate_embeddings(chains, 10)) == 1
+
+
+def test_search_rank_is_bounded_by_the_weights():
+    # No vector of norm w uses more than w coordinates, so a huge ambient
+    # rank costs the same budget as rank 5 and only pads the rows with zeros.
+    chains, budget = [[-2, -2]], 7
+    small = lattice.enumerate_embeddings(chains, 5, budget=budget)
+    tracemalloc.start()
+    try:
+        huge = lattice.enumerate_embeddings(chains, 10**5, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    pad = (0,) * (10**5 - 5)
+    assert [e.vectors for e in huge] == \
+        [tuple(row + pad for row in e.vectors) for e in small]
+    for rank in (5, 10**5):
+        with pytest.raises(lattice.ResourceBudgetExceeded):
+            lattice.enumerate_embeddings(chains, rank, budget=budget - 1)
+    for chains, rank in [([[-4], [-2, -2]], 8), ([[-2, -10, -2]], 14)]:
+        padded = [tuple(row + (0,) * 3 for row in e.vectors)
+                  for e in lattice.enumerate_embeddings(chains, rank)]
+        assert [e.vectors for e in lattice.enumerate_embeddings(chains, rank + 3)] == padded
 
 
 def test_input_validation():
