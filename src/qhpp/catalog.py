@@ -19,9 +19,9 @@ repeats written out), ``#`` starting a comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 __all__ = [
     "LensLink",
@@ -47,8 +47,7 @@ __all__ = [
 # Link and H1 descriptors
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LensLink:
+class LensLink(NamedTuple):
     """The lens space L(p, q), oriented as -p/q surgery on the unknot."""
     p: int
     q: int
@@ -57,8 +56,7 @@ class LensLink:
         return f"L({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class TrefoilSurgeryLink:
+class TrefoilSurgeryLink(NamedTuple):
     """Surgery on the left-handed trefoil with the given (negative) framing."""
     framing: int
 
@@ -66,8 +64,7 @@ class TrefoilSurgeryLink:
         return f"S3_{self.framing}(left trefoil)"
 
 
-@dataclass(frozen=True)
-class TabulatedLink:
+class TabulatedLink(NamedTuple):
     """A Seifert-fibered link known only through tabulated invariants."""
     name: str
 
@@ -78,8 +75,7 @@ class TabulatedLink:
 Link = LensLink | TrefoilSurgeryLink | TabulatedLink
 
 
-@dataclass(frozen=True)
-class H1:
+class H1(NamedTuple):
     """Isomorphism type of H_1 of a singularity link.
 
     ``kind`` is "cyclic", "Z2+Z2", or "Z6+Z2"; ``order`` is the group order.
@@ -104,15 +100,14 @@ class H1:
 _LETTER_RANK = {"E": 0, "D": 1, "A": 2, "K": 3}
 
 
-@dataclass(frozen=True)
-class SingularityType:
+class SingularityType(NamedTuple):
     species: str
     n: int
     index: int
     det_r: int
     group_order: int | None
     curve_count: int
-    _dp_square: Fraction | None
+    known_dp_square: Fraction | None
     h1_link: H1
     link: Link
 
@@ -123,9 +118,9 @@ class SingularityType:
         Unset for D4(1)/D4(2): both are eliminated by their non-cyclic H_1
         before any formula consumes the value, so reading it is a hard error.
         """
-        if self._dp_square is None:
+        if self.known_dp_square is None:
             raise ValueError(f"dp_square is not defined for {self.name}")
-        return self._dp_square
+        return self.known_dp_square
 
     @property
     def name(self) -> str:
@@ -155,7 +150,7 @@ def _cyclic_index3(species: str, n: int, p: int, q: int, dp: Fraction) -> Singul
     return SingularityType(
         species=species, n=n, index=3, det_r=p, group_order=p,
         curve_count=n if species.startswith("A(") else 1,
-        _dp_square=dp, h1_link=H1("cyclic", p), link=LensLink(p, q),
+        known_dp_square=dp, h1_link=H1("cyclic", p), link=LensLink(p, q),
     )
 
 
@@ -273,7 +268,7 @@ def format_multiset(members) -> str:
 # --------------------------------------------------------------------------
 
 def _load_list(filename: str) -> tuple[tuple[SingularityType, ...], ...]:
-    text = resources.files("qhpp.data").joinpath(filename).read_text()
+    text = (resources.files(__package__) / "data" / filename).read_text()
     out = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()

@@ -11,18 +11,24 @@ Verbs map one-to-one onto library entry points:
 
 Exit codes: 0 on success, 1 on runtime failures such as an exhausted search
 budget, 2 on usage errors.  Output is deterministic byte-for-byte.
+
+Each verb imports the modules it runs inside its handler, so a command loads
+only its own code on top of ``catalog``, ``configuration`` and ``exact``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import catalog, exact, floer, lattice, linking, screening
-from .configuration import Outcome
+from . import catalog, exact
+from .configuration import DEFAULT_BUDGET, Outcome, ResourceBudgetExceeded
+
+if TYPE_CHECKING:
+    from . import linking, screening
 
 __all__ = ["main"]
 
@@ -107,6 +113,7 @@ def report_to_json(report: screening.ClassificationReport) -> dict:
 
 
 def report_to_markdown(report: screening.ClassificationReport) -> str:
+    from . import screening
     headers = _ROW_HEADERS + list(screening.FILTER_ORDER)
     rows = [_row(r.config) + [_SHORT[v.outcome] for v in r.verdicts]
             for r in report.candidates]
@@ -126,8 +133,10 @@ def report_to_markdown(report: screening.ClassificationReport) -> str:
 
 
 def _cmd_classify(args) -> int:
+    from . import screening
     report = screening.classify(args.index, budget=args.budget)
     if args.format == "json":
+        import json
         print(json.dumps(report_to_json(report), indent=2, sort_keys=True))
     else:
         print(report_to_markdown(report), end="")
@@ -142,6 +151,7 @@ TABLE_IDS = ("index2-D", "index3-case1", "index3-case2", "index3-case3", "index3
 
 
 def _cmd_table(args) -> int:
+    from . import screening
     if args.id == "index2-D":
         rows = []
         for config in screening.enumerate_candidates(2):
@@ -180,15 +190,21 @@ def _parse_graphs(spec: str) -> list[tuple[int, ...]]:
 
 
 def _cmd_embed(args) -> int:
+    from . import lattice
     chains = _parse_graphs(args.graphs)
+    # No vector of norm w uses more than w coordinates, so the search runs in
+    # at most the rank sum(|w|); the zero coordinates it leaves out never
+    # print.  Corank one is kept, since its complement needs the full rank.
+    vertices = sum(map(len, chains))
+    rank = min(args.ambient, max(sum(abs(w) for chain in chains for w in chain), vertices + 1))
     try:
-        embeddings = lattice.enumerate_embeddings(chains, args.ambient, budget=args.budget)
+        embeddings = lattice.enumerate_embeddings(chains, rank, budget=args.budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     print(f"# Embeddings of {args.graphs!r} into -Z^{args.ambient}: "
           f"{len(embeddings)} orbit(s)")
     # The complement has rank one, and so a generator, only at corank one.
-    corank_one = sum(map(len, chains)) == args.ambient - 1
+    corank_one = vertices == args.ambient - 1
     for idx, emb in enumerate(embeddings, start=1):
         print()
         print(f"orbit {idx}:")
@@ -208,17 +224,25 @@ def _cmd_embed(args) -> int:
 # dinv
 # --------------------------------------------------------------------------
 
+# Without --spin, dinv prints (and memoizes) one value per spin-c label.
+MAX_DINV_LABELS = 10_000
+
+
 def _cmd_dinv(args) -> int:
+    from . import floer
     m = re.match(r"^\s*(\d+)\s*,\s*(\d+)\s*$", args.lens)
     if not m:
         raise UsageError("--lens expects 'p,q'")
     p, q = int(m.group(1)), int(m.group(2))
     try:
         spin = floer.spin_labels(p, q)  # raises on invalid p and q, p = 0 included
-        labels = sorted(spin) if args.spin else range(p)
-        values = [(i, floer.d_lens(p, q, i)) for i in labels]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if not args.spin and p > MAX_DINV_LABELS:
+        raise UsageError(f"L({p},{q}) has {p} spin-c structures; dinv lists at most "
+                         f"{MAX_DINV_LABELS} of them, or the spin ones with --spin")
+    labels = sorted(spin) if args.spin else range(p)
+    values = [(i, floer.d_lens(p, q, i)) for i in labels]
     kind = "spin structures" if args.spin else "spin-c structures"
     print(f"# d-invariants of L({p},{q}) at its {kind}")
     for i, value in values:
@@ -234,6 +258,7 @@ _FRACTION_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 
 
 def _parse_form_descriptor(token: str) -> linking.CyclicLinkingForm:
+    from . import linking
     token = token.strip()
     m = _FRACTION_RE.match(token)
     if m:
@@ -271,6 +296,7 @@ def _split_descriptors(spec: str) -> list[str]:
 
 
 def _cmd_linkform(args) -> int:
+    from . import linking
     tokens = _split_descriptors(args.sum)
     if not tokens:
         raise UsageError("--sum needs at least one descriptor")
@@ -295,6 +321,7 @@ def _cmd_linkform(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_candidates(args) -> int:
+    from . import screening
     headers = (["Case"] if args.index == 3 else []) + _ROW_HEADERS
     rows = []
     for config in screening.enumerate_candidates(args.index):
@@ -327,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="run the full screening pipeline for one index")
     p.add_argument("--index", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--format", choices=("md", "json"), default="md")
-    p.add_argument("--budget", type=budget, default=lattice.DEFAULT_BUDGET,
+    p.add_argument("--budget", type=budget, default=DEFAULT_BUDGET,
                    help="extension budget for embedding searches")
     p.set_defaults(func=_cmd_classify)
 
@@ -340,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated chains of comma-separated "
                         "negative weights, e.g. '-2,-10,-2' or '-2,-2,-2;-9'")
     p.add_argument("--ambient", type=int, required=True)
-    p.add_argument("--budget", type=budget, default=lattice.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("dinv", help="lens-space d-invariants")
@@ -391,7 +418,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except lattice.ResourceBudgetExceeded as exc:
+    except ResourceBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

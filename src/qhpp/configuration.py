@@ -1,17 +1,18 @@
-"""Singularity configurations and obstruction verdicts.
+"""Singularity configurations, obstruction verdicts and the search budget.
 
 A configuration is the multiset of quotient singularities hypothetically
 carried by a rational homology projective plane with H_1(smooth locus) = 0.
 Its derived invariants (number of exceptional curves, canonical square,
 determinant product, orbifold Euler characteristic) feed every screening
 filter.  Filters report ObstructionVerdict records whose evidence payload can
-be re-checked without re-running the originating search.
+be re-checked without re-running the originating search.  The extension
+budget of the embedding search is defined here, with the other names every
+command loads, so that reading its default loads no search code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -19,7 +20,55 @@ from functools import cached_property, reduce
 from . import catalog
 from .catalog import SingularityType
 
-__all__ = ["Outcome", "ObstructionVerdict", "Configuration"]
+__all__ = [
+    "DEFAULT_BUDGET",
+    "ResourceBudgetExceeded",
+    "Record",
+    "Outcome",
+    "ObstructionVerdict",
+    "Configuration",
+]
+
+DEFAULT_BUDGET = 10_000_000
+
+
+class ResourceBudgetExceeded(RuntimeError):
+    """The embedding search exceeded its extension budget."""
+
+
+class Record:
+    """Base of the read-only records that are not tuples: those that cache
+    derived values (``cached_property`` needs an instance ``__dict__``),
+    check their fields, or leave a field out of equality.
+
+    ``_fields`` names the fields in constructor order.  ``__init__`` writes
+    them once into the instance ``__dict__``; assigning any attribute
+    afterwards raises AttributeError.  Equality and the hash read ``_key()``,
+    which is every field unless a subclass says otherwise, and hold only
+    between instances of one class.
+    """
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is read-only")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class Outcome(Enum):
@@ -31,17 +80,28 @@ class Outcome(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+_NO_EVIDENCE = object()
+
+
+class ObstructionVerdict(Record):
     """Outcome of one screening filter applied to one configuration.
 
     ``evidence`` is a JSON-serializable payload (fractions appear as strings)
-    sufficient to re-verify an OBSTRUCTED or PASS outcome standalone.
+    sufficient to re-verify an OBSTRUCTED or PASS outcome standalone.  When
+    it is omitted each verdict gets a dict of its own; a value passed
+    explicitly, None included, is kept as given.  Equality and the hash
+    ignore the evidence.
     """
-    filter: str
-    outcome: Outcome
-    evidence: dict = field(default_factory=dict, compare=False)
-    note: str = ""
+    _fields = ("filter", "outcome", "evidence", "note")
+
+    def __init__(self, filter: str, outcome: Outcome, evidence: dict = _NO_EVIDENCE,
+                 note: str = ""):
+        if evidence is _NO_EVIDENCE:
+            evidence = {}
+        self.__dict__.update(filter=filter, outcome=outcome, evidence=evidence, note=note)
+
+    def _key(self) -> tuple:
+        return (self.filter, self.outcome, self.note)
 
     @property
     def obstructed(self) -> bool:
@@ -54,10 +114,12 @@ class ObstructionVerdict:
         return out
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
     """A multiset of singularity types with derived global invariants."""
-    members: tuple[SingularityType, ...]
+    _fields = ("members",)
+
+    def __init__(self, members: tuple[SingularityType, ...]):
+        self.__dict__.update(members=members)
 
     @classmethod
     def of(cls, members) -> "Configuration":

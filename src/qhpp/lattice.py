@@ -44,12 +44,13 @@ silent truncation, after work proportional to the budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .catalog import LensLink, SingularityType
-from .configuration import Configuration, ObstructionVerdict, Outcome
+from .configuration import (DEFAULT_BUDGET, Configuration, ObstructionVerdict, Outcome,
+                            ResourceBudgetExceeded)
 from .exact import hj_expand
 
 __all__ = [
@@ -68,20 +69,14 @@ __all__ = [
     "rebuild_donaldson",
 ]
 
-DEFAULT_BUDGET = 10_000_000
 MAX_WEIGHT_MAGNITUDE = 16
-
-
-class ResourceBudgetExceeded(RuntimeError):
-    """The embedding search exceeded its extension budget."""
 
 
 def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
-@dataclass(frozen=True)
-class PlumbingEmbedding:
+class PlumbingEmbedding(NamedTuple):
     """One orbit representative: rows are vertex vectors in input order."""
     vectors: tuple[tuple[int, ...], ...]
     ambient_rank: int
@@ -93,8 +88,7 @@ class PlumbingEmbedding:
         return [[-_dot(a, b) for b in self.vectors] for a in self.vectors]
 
 
-@dataclass(frozen=True)
-class ComplementWitness:
+class ComplementWitness(NamedTuple):
     """Primitive generator of the rank-one orthogonal complement."""
     generator: tuple[int, ...]
     square: int

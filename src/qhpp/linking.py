@@ -10,11 +10,10 @@ form of an orientation reversal is the negation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import exact
 from .catalog import LensLink, SingularityType, TrefoilSurgeryLink
-from .configuration import Configuration, ObstructionVerdict, Outcome
+from .configuration import Configuration, ObstructionVerdict, Outcome, Record
 
 __all__ = [
     "CyclicLinkingForm",
@@ -28,21 +27,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CyclicLinkingForm:
+class CyclicLinkingForm(Record):
     """The form lambda(g,g) = value/order on a generator g of Z/order."""
-    order: int
-    value: int
+    _fields = ("order", "value")
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be positive, got {self.order}")
-        if self.order == 1:
-            if self.value != 0:
+    def __init__(self, order: int, value: int):
+        if order < 1:
+            raise ValueError(f"order must be positive, got {order}")
+        if order == 1:
+            if value != 0:
                 raise ValueError("the trivial group carries only the zero form")
-        elif not (0 < self.value < self.order and math.gcd(self.value, self.order) == 1):
-            raise ValueError(
-                f"form value must be a reduced unit residue, got {self.value}/{self.order}")
+        elif not (0 < value < order and math.gcd(value, order) == 1):
+            raise ValueError(f"form value must be a reduced unit residue, got {value}/{order}")
+        self.__dict__.update(order=order, value=value)
 
     @property
     def is_trivial(self) -> bool:

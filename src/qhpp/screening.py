@@ -10,21 +10,22 @@ the obstruction filters of the ``FILTERS`` table in its order:
 
 Every filter is an independent predicate of the configuration and the search
 budget, so the surviving set does not depend on the order of application.
-A configuration survives when no filter reports OBSTRUCTED.
+A configuration survives when no filter reports OBSTRUCTED.  The modules of
+the last three filters (``lattice``, ``linking`` and ``floer``) are imported
+when such a filter first runs, so enumerating candidates loads none of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
-from . import catalog, exact, floer, lattice, linking
+from . import catalog, exact
 from .catalog import SingularityType
-from .configuration import Configuration, ObstructionVerdict, Outcome
+from .configuration import DEFAULT_BUDGET, Configuration, ObstructionVerdict, Outcome, Record
 
 __all__ = [
     "enumerate_candidates",
@@ -250,13 +251,29 @@ def _anti_ample_impossible(config: Configuration) -> bool | None:
     return config.key() not in _INDEX2_LOG_DEL_PEZZO
 
 
+def _donaldson(config: Configuration, budget: int) -> ObstructionVerdict:
+    from . import lattice
+    return lattice.donaldson_obstruction(config, budget=budget)
+
+
+def _rebuild_donaldson(config: Configuration, evidence) -> ObstructionVerdict:
+    from . import lattice
+    return lattice.rebuild_donaldson(config, evidence)
+
+
 def _linking_form(config: Configuration, budget: int) -> ObstructionVerdict:
     if not (config.dets_pairwise_coprime()
             and all(t.h1_link.is_cyclic for t in config.members)):
         return ObstructionVerdict(
             "linking_form", Outcome.NOT_APPLICABLE, {},
             note="boundary homology is not cyclic; test precondition fails")
+    from . import linking
     return linking.linking_obstruction(config)
+
+
+def _spin_sum(config: Configuration, budget: int) -> ObstructionVerdict:
+    from . import floer
+    return floer.spin_sum_obstruction(config)
 
 
 # --------------------------------------------------------------------------
@@ -275,7 +292,7 @@ class Filter(NamedTuple):
 
 def _rerun(name: str, run) -> Filter:
     """A filter that searches nothing: its verdict is rebuilt by running it again."""
-    return Filter(name, run, lambda config, evidence: run(config, lattice.DEFAULT_BUDGET))
+    return Filter(name, run, lambda config, evidence: run(config, DEFAULT_BUDGET))
 
 
 # The entries look the filters up when called, not at import, so a filter
@@ -284,11 +301,9 @@ FILTERS = (
     _rerun("cyclic_h1", lambda config, budget: cyclic_h1_filter(config)),
     _rerun("arithmetic", lambda config, budget: arithmetic_filter(config)),
     _rerun("bmy", lambda config, budget: bmy_filter(config, _anti_ample_impossible(config))),
-    Filter("donaldson",
-           lambda config, budget: lattice.donaldson_obstruction(config, budget=budget),
-           lambda config, evidence: lattice.rebuild_donaldson(config, evidence)),
+    Filter("donaldson", _donaldson, _rebuild_donaldson),
     _rerun("linking_form", _linking_form),
-    _rerun("spin_sum", lambda config, budget: floer.spin_sum_obstruction(config)),
+    _rerun("spin_sum", _spin_sum),
 )
 FILTER_ORDER = tuple(f.name for f in FILTERS)
 _FILTERS_BY_NAME = {f.name: f for f in FILTERS}
@@ -298,8 +313,7 @@ _FILTERS_BY_NAME = {f.name: f for f in FILTERS}
 # Classification
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CandidateReport:
+class CandidateReport(NamedTuple):
     config: Configuration
     verdicts: tuple[ObstructionVerdict, ...]
     case: int | None = None
@@ -312,11 +326,12 @@ class CandidateReport:
         return next(v for v in self.verdicts if v.filter == filter_name)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    index: int
-    candidates: tuple[CandidateReport, ...]
-    realizable: tuple[Configuration, ...]
+class ClassificationReport(Record):
+    _fields = ("index", "candidates", "realizable")
+
+    def __init__(self, index: int, candidates: tuple[CandidateReport, ...],
+                 realizable: tuple[Configuration, ...]):
+        self.__dict__.update(index=index, candidates=candidates, realizable=realizable)
 
     @property
     def survivors(self) -> tuple[CandidateReport, ...]:
@@ -354,12 +369,12 @@ _REALIZABLE = {
 
 
 def screen(config: Configuration,
-           budget: int = lattice.DEFAULT_BUDGET) -> tuple[ObstructionVerdict, ...]:
+           budget: int = DEFAULT_BUDGET) -> tuple[ObstructionVerdict, ...]:
     """Run the full ordered filter chain on one configuration."""
     return tuple(f.run(config, budget) for f in FILTERS)
 
 
-def classify(index: int, budget: int = lattice.DEFAULT_BUDGET) -> ClassificationReport:
+def classify(index: int, budget: int = DEFAULT_BUDGET) -> ClassificationReport:
     """Screen every candidate of the given index and assemble the report."""
     reports = []
     for config in enumerate_candidates(index):

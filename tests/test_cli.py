@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -35,11 +36,22 @@ def test_dinv_full(capsys):
 
 
 def test_dinv_rejects_bad_params(capsys):
-    # With p = 0 there is no spin-c label whose value could fail.
-    for lens in ("4,2", "0,0", "0,1"):
-        code, out, err = run_cli(capsys, "dinv", "--lens", lens)
-        assert (code, out) == (2, "")
-        assert err == f"error: invalid lens space parameters (p, q) = ({lens.replace(',', ', ')})\n"
+    # With p = 0 there is no spin-c label whose value could fail; p and q
+    # are validated before p is bounded, so 100000,2 is not a lens space.
+    errors = {lens: f"invalid lens space parameters (p, q) = ({lens.replace(',', ', ')})"
+              for lens in ("4,2", "0,0", "0,1", "100000,2")}
+    # Without --spin, one value per spin-c structure: at most 10,000 of them.
+    for p in (10_001, 99_999_999):
+        errors[f"{p},1"] = (f"L({p},1) has {p} spin-c structures; dinv lists at most "
+                            "10000 of them, or the spin ones with --spin")
+    for lens, message in errors.items():
+        assert run_cli(capsys, "dinv", "--lens", lens) == (2, "", f"error: {message}\n")
+    code, out, _ = run_cli(capsys, "dinv", "--lens", "10000,1")
+    assert code == 0 and out.count("label") == 10_000
+    # With --spin, p is not bounded: L(p,1) with p odd has the one label 0,
+    # where d = 1/4 - p/4.
+    code, out, _ = run_cli(capsys, "dinv", "--lens", "99999999,1", "--spin")
+    assert (code, out.splitlines()[1:]) == (0, ["  label   0: -49999999/2"])
 
 
 def test_embed_single_chain(capsys):
@@ -68,6 +80,22 @@ def test_embed_usage_error(capsys):
     code, _, err = run_cli(capsys, "embed", "--graphs", "-1", "--ambient", "2")
     assert code == 2
     assert "error" in err
+
+
+def test_embed_cost_does_not_grow_with_ambient(capsys):
+    # The search runs in rank sum(|w|) = 4, and the zeros past it never print.
+    # The first run may also import qhpp.lattice, so the peak is checked on the second.
+    orbits = {}
+    for ambient in (30, 10**9):
+        tracemalloc.start()
+        code, out, err = run_cli(capsys, "embed", "--graphs", "-2,-2", "--ambient", str(ambient))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (code, err) == (0, "")
+        header, *orbits[ambient] = out.splitlines()
+        assert header == f"# Embeddings of '-2,-2' into -Z^{ambient}: 1 orbit(s)"
+    assert peak < 1_000_000
+    assert orbits[10**9] == orbits[30] == ["", "orbit 1:", "    -2  e1+e2", "    -2  -e2+e3"]
 
 
 def test_embed_below_corank_one_prints_no_complement(capsys):
@@ -231,10 +259,49 @@ def test_byte_identical_output():
     assert not changed
 
 
-def test_cli_does_not_import_numpy():
-    # The search is pure Python; numpy would only add to every cold start.
-    subprocess.run([sys.executable, "-c",
-                    "import sys, qhpp.cli; assert 'numpy' not in sys.modules"],
+# The qhpp modules each command loads beyond qhpp, qhpp.cli, catalog,
+# configuration and exact; the empty command only imports qhpp.cli.
+VERB_MODULES = {
+    "": set(),
+    "dinv --lens 4,1": {"floer"},
+    "linkform --sum K1,E6": {"linking"},
+    "embed --graphs -2,-10,-2 --ambient 4": {"lattice"},
+    "table --id index3-case4": {"screening"},
+    "candidates --index 3": {"screening"},
+    "classify --index 1 --format md": {"screening", "lattice", "linking", "floer"},
+}
+
+_IMPORT_PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+from qhpp import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_each_verb_imports_only_its_modules():
+    # Every cold start pays for what it imports, so a command loads only the
+    # modules its verb runs, and none loads dataclasses, json or numpy.  The
+    # interpreter runs without site, so the set counts qhpp's imports alone.
+    env = _fresh_interpreter_env()
+    base = {"qhpp", "qhpp.cli", "qhpp.catalog", "qhpp.configuration", "qhpp.exact"}
+    for command, own in VERB_MODULES.items():
+        loaded = set(subprocess.run([sys.executable, "-S", "-c", _IMPORT_PROBE, *command.split()],
+                                    capture_output=True, text=True, env=env,
+                                    check=True).stdout.split())
+        assert {m for m in loaded if m.split(".")[0] == "qhpp"} == \
+            base | {f"qhpp.{m}" for m in own}, command
+        assert not loaded & {"dataclasses", "json", "numpy"}, command
+
+
+def test_package_attributes_load_modules_on_first_use():
+    subprocess.run([sys.executable, "-S", "-c", "import sys, qhpp\n"
+                    "assert 'qhpp.lattice' not in sys.modules\n"
+                    "assert qhpp.lattice.DEFAULT_BUDGET == qhpp.configuration.DEFAULT_BUDGET\n"
+                    "assert not hasattr(qhpp, 'nope')"],
                    env=_fresh_interpreter_env(), check=True)
 
 

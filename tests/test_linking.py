@@ -28,6 +28,9 @@ def test_form_validation():
         CyclicLinkingForm(6, 0)
     with pytest.raises(ValueError):
         CyclicLinkingForm(1, 1)
+    for order, value in ((0, 0), (-4, 1), (4, 4), (4, -1)):
+        with pytest.raises(ValueError):
+            CyclicLinkingForm(order, value)
     with pytest.raises(ValueError):
         linking.lens_linking_form(6, 4)
     with pytest.raises(ValueError):
