@@ -11,9 +11,9 @@ named Seifert manifold with tabulated data).
 Classification theorems that this package *imports* rather than derives
 (the Gorenstein 58-type list, the Alexeev-Nikulin index-two log del Pezzo
 list, and the realizable-type lists) are stored as plain-text data files in
-``qhpp/data`` and parsed here.  File format: one singularity multiset per
-line as whitespace-separated species tokens ("K5", "A2(1,2)", "D5(2)", with
-repeats written out), ``#`` starting a comment.
+``qhpp/data`` and parsed here, each on first use.  File format: one
+singularity multiset per line as whitespace-separated species tokens ("K5",
+"A2(1,2)", "D5(2)", with repeats written out), ``#`` starting a comment.
 """
 
 from __future__ import annotations
@@ -277,13 +277,24 @@ def _load_list(filename: str) -> tuple[tuple[SingularityType, ...], ...]:
     return tuple(out)
 
 
-GORENSTEIN_K_NONTRIVIAL = _load_list("gorenstein_k_nontrivial.txt")
-GORENSTEIN_K_TRIVIAL = _load_list("gorenstein_k_trivial.txt")
-GORENSTEIN_58 = GORENSTEIN_K_NONTRIVIAL + GORENSTEIN_K_TRIVIAL
-LOG_DEL_PEZZO_INDEX2_18 = _load_list("log_del_pezzo_index2.txt")
-REALIZABLE_INDEX1_7 = _load_list("realizable_index1.txt")
-REALIZABLE_INDEX2_4 = _load_list("realizable_index2.txt")
-REALIZABLE_INDEX3_16 = _load_list("realizable_index3.txt")
+_LIST_FILES = {"GORENSTEIN_K_NONTRIVIAL": "gorenstein_k_nontrivial.txt",
+               "GORENSTEIN_K_TRIVIAL": "gorenstein_k_trivial.txt",
+               "LOG_DEL_PEZZO_INDEX2_18": "log_del_pezzo_index2.txt",
+               "REALIZABLE_INDEX1_7": "realizable_index1.txt",
+               "REALIZABLE_INDEX2_4": "realizable_index2.txt",
+               "REALIZABLE_INDEX3_16": "realizable_index3.txt"}
+
+
+def __getattr__(name):
+    """Each imported list, parsed on first use and then kept as a module global."""
+    if name == "GORENSTEIN_58":
+        value = __getattr__("GORENSTEIN_K_NONTRIVIAL") + __getattr__("GORENSTEIN_K_TRIVIAL")
+    elif name in _LIST_FILES:
+        value = _load_list(_LIST_FILES[name])
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 def h1_order_of_link(t: SingularityType) -> int:

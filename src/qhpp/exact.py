@@ -71,10 +71,11 @@ def is_perfect_square(n: int) -> bool:
 
 
 def unit_squares_mod(n: int) -> frozenset[int]:
-    """The set {u^2 mod n : gcd(u, n) = 1} of square units modulo n."""
+    """The set {u^2 mod n : gcd(u, n) = 1} of square units modulo n; u <= n/2
+    suffices, as n - u has the same square and is a unit exactly when u is."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return frozenset(u * u % n for u in range(1, n) if math.gcd(u, n) == 1)
+    return frozenset(u * u % n for u in range(1, n // 2 + 1) if math.gcd(u, n) == 1)
 
 
 def is_square_unit_mod(c: int, n: int) -> bool:

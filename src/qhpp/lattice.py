@@ -36,15 +36,17 @@ finished embedding, after its rows are put back in vertex order.  The
 orthogonal complement of an embedding is computed in integers.
 
 One unit of the extension budget is one candidate value tried for one
-coordinate of a new vector.  The count is checked as the candidates are
-generated, so an exhausted budget raises ResourceBudgetExceeded, never a
-silent truncation, after work proportional to the budget.
+coordinate of a new vector.  The coordinate walk keeps the count in a local
+integer and checks it at each charge, before the values are tried, so an
+exhausted budget raises ResourceBudgetExceeded, never a silent truncation,
+after work proportional to the budget.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from math import isqrt
 from operator import mul
 from typing import NamedTuple
 
@@ -140,7 +142,7 @@ def vectors_of_norm(norm: int, rank: int) -> tuple[tuple[int, ...], ...]:
             if remaining == 0:
                 out.append(prefix)
             return
-        bound = math.isqrt(remaining)
+        bound = isqrt(remaining)
         for value in range(-bound, bound + 1):
             extend(prefix + (value,), remaining - value * value, slots - 1)
 
@@ -173,99 +175,114 @@ def canonical_form(rows, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cols[c][r] for c in range(rank)) for r in range(nrows))
 
 
-def _used_parts(placed, used: int, dots, norm: int, spend):
+def _over_budget(budget: int) -> ResourceBudgetExceeded:
+    return ResourceBudgetExceeded(f"embedding search exceeded budget of {budget} extensions")
+
+
+def _used_parts(placed, used: int, dots, norm: int, spent: int, budget: int):
     """Every u in Z^used with |u|^2 <= norm and <u, placed[j]> == dots[j] on
-    the first ``used`` coordinates, as pairs (u, norm - |u|^2).
+    the first ``used`` coordinates, as pairs (u, norm - |u|^2), and the
+    budget units ``spent`` once they are all found.
 
-    Built coordinate by coordinate.  A prefix is cut as soon as some required
-    dot product is out of reach of the coordinates left: by Cauchy-Schwarz
-    the rest of <u, p> is at most sqrt(remaining norm * |rest of p|^2).  At
-    the last coordinate a placed vector uses, its dot product forces the
-    value.  ``spend`` is told how many values each coordinate tries.
+    Built coordinate by coordinate, depth first from an explicit stack.  A
+    prefix is cut as soon as some required dot product is out of reach of the
+    coordinates left: by Cauchy-Schwarz the rest of <u, p> is at most
+    sqrt(remaining norm * |rest of p|^2).  At the last coordinate a placed
+    vector uses, its dot product forces the value.  Each coordinate charges
+    the values it tries, and raises as soon as ``budget`` is passed.
     """
+    stack, leaves, seen = [], [], []
+    # table[c]: the pairs (j, placed[j][c]) of the vectors that close at c (use no
+    # later coordinate); whether column c equals column c - 1 (swapping equal columns
+    # fixes every placed vector, so u is nonincreasing on their runs); the pairs with
+    # placed[j][c] != 0; the j to check after a zero and after another value at c;
+    # the squared norm of each placed[j] after c; where the children go.
     cols = list(zip(*placed))[:used]
-    # entries[c]: the pairs (j, placed[j][c]) with placed[j][c] != 0;
-    # closing[c]: those of them whose vector uses no coordinate after c;
-    # tails[c][j]: the squared norm of placed[j] on coordinates c..used-1.
-    entries = [[(j, p) for j, p in enumerate(col) if p] for col in cols]
-    closing: list[list[tuple[int, int]]] = [[] for _ in range(used)]
-    tails = [[0] * len(placed)]
+    table = [()] * used
+    tail = [0] * len(placed)
+    emit = leaves.append
     for c in reversed(range(used)):
-        tail = tails[-1][:]
-        for j, p in entries[c]:
-            if not tail[j]:
-                closing[c].append((j, p))
-            tail[j] += p * p
-        tails.append(tail)
-    tails.reverse()
-    # Swapping two equal columns fixes every placed vector, so on a run of
-    # equal columns u may be taken nonincreasing.
-    same = [c > 0 and cols[c] == cols[c - 1] for c in range(used)]
-    out = []
-
-    # gaps maps j to the part of dots[j] still to be made up; zero gaps are
-    # left out, since they pass every check.
-    def extend(c: int, head: tuple[int, ...], rem: int, gaps: dict[int, int]) -> None:
-        if c == used:
-            out.append((head, rem))
-            return
-        forced = None
-        for j, p in closing[c]:
-            gap = gaps.get(j, 0)
-            if gap % p or forced not in (None, gap // p):
-                return
-            forced = gap // p
-        bound = math.isqrt(rem)
-        high = min(bound, head[-1]) if same[c] else bound
-        if forced is None:
-            values = range(-bound, high + 1)
-        elif -bound <= forced <= high:
-            values = (forced,)
+        col = cols[c]
+        after = tuple(tail)
+        opened = tuple(seen)
+        entries, closing, touched = [], [], []
+        for j, p in enumerate(col):
+            if p:
+                entries.append((j, p))
+                if tail[j]:
+                    touched.append(j)
+                else:
+                    closing.append((j, p))
+                    seen.append(j)
+                tail[j] += p * p
+        # Past column 0 a closed vector's gap is zero (its forced value cleared it),
+        # so only open vectors are checked, and after a zero, which keeps the norm,
+        # only those in column c.  Nothing checked the root: column 0 checks all.
+        if c == 0:
+            touched = opened = range(len(placed))
+        table[c] = (closing, c > 0 and col == cols[c - 1], entries, touched, opened, after, emit)
+        emit = stack.append
+    # A node is (column, head, remaining norm, gaps), gaps[j] being the part of
+    # dots[j] still to be made up.  Children are pushed largest value first, so they
+    # pop in the order a recursion visits them.  If used == 0 the root is a leaf.
+    emit((0, (), norm, list(dots)))
+    while stack:
+        c, head, rem, gaps = stack.pop()
+        closing, same, col, touched, opened, after, emit = table[c]
+        bound = isqrt(rem)
+        high = min(bound, head[-1]) if same else bound
+        low = -bound
+        for j, p in closing:
+            forced, r = divmod(gaps[j], p)
+            if r or not low <= forced <= high:
+                break
+            low = high = forced
         else:
-            return
-        spend(len(values))
-        col, after = entries[c], tails[c + 1]
-        for x in values:
-            left = rem - x * x
-            next_gaps = gaps
-            if x:
-                next_gaps = gaps.copy()
-                for j, p in col:
-                    gap = next_gaps.get(j, 0) - x * p
-                    if gap:
-                        next_gaps[j] = gap
-                    else:
-                        del next_gaps[j]
-            for j, gap in next_gaps.items():
-                if gap * gap > left * after[j]:
-                    break
-            else:
-                extend(c + 1, head + (x,), left, next_gaps)
-
-    extend(0, (), norm, {j: d for j, d in enumerate(dots) if d})
-    return out
+            if low <= high:
+                spent += high - low + 1
+                if spent > budget:
+                    raise _over_budget(budget)
+            c += 1
+            for x in range(high, low - 1, -1):
+                left = rem - x * x
+                child, check = gaps, touched
+                if x:
+                    child, check = gaps[:], opened
+                    for j, p in col:
+                        child[j] -= x * p
+                for j in check:
+                    gap = child[j]
+                    if gap * gap > left * after[j]:
+                        break
+                else:
+                    emit((c, head + (x,), left, child))
+    return [leaf[1:3] for leaf in leaves], spent
 
 
-def _fresh_parts(rest: int, slots: int, largest: int, spend):
+def _fresh_parts(rest: int, slots: int, largest: int, spent: int, budget: int):
     """Nonincreasing tuples of at most ``slots`` positive integers, none above
-    ``largest``, whose squares sum to ``rest``; largest parts first."""
+    ``largest``, whose squares sum to ``rest``, largest parts first; and the
+    budget units ``spent`` once they are all found."""
     if rest == 0:
-        return [()]
+        return [()], spent
     if slots == 0:
-        return []
+        return [], spent
     out = []
     # The first part x must leave a rest that slots - 1 parts of at most x
     # can fill: rest <= slots * x^2.
     low = 1
     while low * low * slots < rest:
         low += 1
-    top = min(largest, math.isqrt(rest))
+    top = min(largest, isqrt(rest))
     if top < low:
-        return out
-    spend(top - low + 1)
+        return out, spent
+    spent += top - low + 1
+    if spent > budget:
+        raise _over_budget(budget)
     for x in range(top, low - 1, -1):
-        out.extend((x,) + tail for tail in _fresh_parts(rest - x * x, slots - 1, x, spend))
-    return out
+        tails, spent = _fresh_parts(rest - x * x, slots - 1, x, spent, budget)
+        out.extend((x,) + tail for tail in tails)
+    return out, spent
 
 
 def enumerate_embeddings(lattices, ambient_rank: int,
@@ -294,14 +311,6 @@ def enumerate_embeddings(lattices, ambient_rank: int,
     order = sorted(range(total), key=lambda k: -gram[k][k])
 
     spent = 0
-
-    def spend(values: int) -> None:
-        nonlocal spent
-        spent += values
-        if spent > budget:
-            raise ResourceBudgetExceeded(
-                f"embedding search exceeded budget of {budget} extensions")
-
     # Each state is the canonical form of one partial orbit, with the number
     # of coordinates it uses: the vectors placed so far, in placement order,
     # with the used coordinates first.  Extensions are canonical already
@@ -314,8 +323,10 @@ def enumerate_embeddings(lattices, ambient_rank: int,
         next_states = []
         for placed, used in states:
             free = rank - used
-            for head, rest in _used_parts(placed, used, dots, norm, spend):
-                for tail in _fresh_parts(rest, free, rest, spend):
+            heads, spent = _used_parts(placed, used, dots, norm, spent, budget)
+            for head, rest in heads:
+                tails, spent = _fresh_parts(rest, free, rest, spent, budget)
+                for tail in tails:
                     vec = head + tail + (0,) * (free - len(tail))
                     next_states.append((placed + (vec,), used + len(tail)))
         states = next_states

@@ -241,14 +241,15 @@ def bmy_filter(config: Configuration,
     return ObstructionVerdict(name, Outcome.PASS, evidence)
 
 
-_INDEX2_LOG_DEL_PEZZO = frozenset(
-    Configuration.of(ms).key() for ms in catalog.LOG_DEL_PEZZO_INDEX2_18)
+@lru_cache(maxsize=None)
+def _index2_log_del_pezzo() -> frozenset:
+    return frozenset(Configuration.of(ms).key() for ms in catalog.LOG_DEL_PEZZO_INDEX2_18)
 
 
 def _anti_ample_impossible(config: Configuration) -> bool | None:
     if config.index != 2:
         return None
-    return config.key() not in _INDEX2_LOG_DEL_PEZZO
+    return config.key() not in _index2_log_del_pezzo()
 
 
 def _donaldson(config: Configuration, budget: int) -> ObstructionVerdict:
@@ -361,11 +362,7 @@ class ClassificationReport(Record):
         }
 
 
-_REALIZABLE = {
-    1: catalog.REALIZABLE_INDEX1_7,
-    2: catalog.REALIZABLE_INDEX2_4,
-    3: catalog.REALIZABLE_INDEX3_16,
-}
+_REALIZABLE = {1: "REALIZABLE_INDEX1_7", 2: "REALIZABLE_INDEX2_4", 3: "REALIZABLE_INDEX3_16"}
 
 
 def screen(config: Configuration,
@@ -380,7 +377,7 @@ def classify(index: int, budget: int = DEFAULT_BUDGET) -> ClassificationReport:
     for config in enumerate_candidates(index):
         case = index3_case(config) if index == 3 else None
         reports.append(CandidateReport(config, screen(config, budget), case))
-    realizable = tuple(Configuration.of(ms) for ms in _REALIZABLE[index])
+    realizable = tuple(Configuration.of(ms) for ms in getattr(catalog, _REALIZABLE[index]))
     return ClassificationReport(index, tuple(reports), realizable)
 
 

@@ -297,6 +297,34 @@ def test_each_verb_imports_only_its_modules():
         assert not loaded & {"dataclasses", "json", "numpy"}, command
 
 
+_LOAD_LIST_PROBE = """
+import contextlib, io, sys
+calls = []
+sys.setprofile(lambda frame, event, arg: event == "call"
+               and frame.f_code.co_name == "_load_list" and calls.append(frame))
+from qhpp import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+sys.setprofile(None)
+print(len(calls))
+"""
+
+
+def test_light_verbs_never_parse_the_imported_lists():
+    # The classification lists load on first use: the verbs that read none
+    # of them parse none, at import or later; the lists still load for the
+    # verbs that read them.
+    env = _fresh_interpreter_env()
+    loads = {command: int(subprocess.run([sys.executable, "-S", "-c", _LOAD_LIST_PROBE,
+                                          *command.split()],
+                                         capture_output=True, text=True, env=env,
+                                         check=True).stdout)
+             for command in ["dinv --lens 4,1", "linkform --sum K1,E6",
+                             "embed --graphs -2,-10,-2 --ambient 4", "candidates --index 1"]}
+    assert loads == {"dinv --lens 4,1": 0, "linkform --sum K1,E6": 0,
+                     "embed --graphs -2,-10,-2 --ambient 4": 0, "candidates --index 1": 1}
+
+
 def test_package_attributes_load_modules_on_first_use():
     subprocess.run([sys.executable, "-S", "-c", "import sys, qhpp\n"
                     "assert 'qhpp.lattice' not in sys.modules\n"

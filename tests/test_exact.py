@@ -77,6 +77,15 @@ def test_is_square_unit_mod_agrees_with_enumeration():
             assert exact.is_square_unit_mod(c, n) == (c in squares)
 
 
+def test_unit_squares_mod_matches_the_full_range():
+    # The half-range scan must give the set of the definition, u over 1..n-1.
+    for n in range(2, 501):
+        assert exact.unit_squares_mod(n) == \
+            {u * u % n for u in range(1, n) if math.gcd(u, n) == 1}, n
+    with pytest.raises(ValueError):
+        exact.unit_squares_mod(1)
+
+
 def test_is_square_unit_mod_rejects_non_units():
     with pytest.raises(ValueError):
         exact.is_square_unit_mod(4, 12)

@@ -1,5 +1,9 @@
+import itertools
 import json
+import math
+import time
 import tracemalloc
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -290,6 +294,74 @@ def test_budget_unit_is_locked(chains, rank, budget):
     lattice.enumerate_embeddings(chains, rank, budget=budget)
     with pytest.raises(lattice.ResourceBudgetExceeded):
         lattice.enumerate_embeddings(chains, rank, budget=budget - 1)
+
+
+# The fewest extensions each search of bench/embed_pool.json needs, in file
+# order: the benchmark's own instances hold the search tree in place too.
+POOL_BUDGETS = [309, 758, 863, 167, 147, 409, 275, 103, 203, 331, 410, 2630, 236, 238,
+                156, 260, 1193, 1110]
+
+
+def test_pool_budgets_are_locked():
+    instances = json.loads(POOL_FILE.read_text())["instances"]
+    assert len(instances) == len(POOL_BUDGETS) and sum(POOL_BUDGETS) == 9798
+    for inst, budget in zip(instances, POOL_BUDGETS):
+        chains, rank = inst["chains"], inst["rank"]
+        lattice.enumerate_embeddings(chains, rank, budget=budget)
+        with pytest.raises(lattice.ResourceBudgetExceeded):
+            lattice.enumerate_embeddings(chains, rank, budget=budget - 1)
+
+
+@st.composite
+def _walk_states(draw):
+    used = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=used, max_size=used),
+                         min_size=1, max_size=4))
+    placed = tuple(tuple(row) + (0, 0) for row in rows)
+    dots = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    return placed, used, dots, draw(st.integers(0, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_walk_states())
+def test_used_parts_match_a_brute_force_scan(state):
+    # Every u in Z^used with |u|^2 <= norm and the required dot products,
+    # nonincreasing on each run of equal columns, once each.
+    placed, used, dots, norm = state
+    cols = list(zip(*placed))[:used]
+    box = range(-math.isqrt(norm), math.isqrt(norm) + 1)
+    expected = sorted(
+        (u, norm - sum(x * x for x in u)) for u in itertools.product(box, repeat=used)
+        if sum(x * x for x in u) <= norm
+        and all(sum(map(mul, u, row)) == d for row, d in zip(placed, dots))
+        and all(u[c] <= u[c - 1] for c in range(1, used) if cols[c] == cols[c - 1]))
+    parts, spent = lattice._used_parts(placed, used, dots, norm, 0, 10**9)
+    assert sorted(parts) == expected
+    assert spent >= len(parts)
+
+
+def test_walk_raises_as_soon_as_the_budget_is_spent():
+    # Run to the end, this walk tries 2,279,376 values and keeps 365,705
+    # parts; a walk that checked its count only on return would pay for all
+    # of them before it raised.
+    used = 12
+    placed = (tuple(range(used, 0, -1)),)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(lattice.ResourceBudgetExceeded):
+            lattice._used_parts(placed, used, [0], 16, 0, 5_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert time.perf_counter() - start < 2.0
+    # The count starts from the search's earlier spend and is held against
+    # what the budget has left.
+    parts, cost = lattice._used_parts(placed, 6, [0], 16, 0, 10_000)
+    assert lattice._used_parts(placed, 6, [0], 16, 10_000 - cost, 10_000) == (parts, 10_000)
+    with pytest.raises(lattice.ResourceBudgetExceeded):
+        lattice._used_parts(placed, 6, [0], 16, 10_001 - cost, 10_000)
 
 
 def test_orbit_representatives_are_inequivalent():
