@@ -295,12 +295,3 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
     return value
-
-
-def h1_order_of_link(t: SingularityType) -> int:
-    """|H_1| of the link, cross-checkable against det_r."""
-    if isinstance(t.link, LensLink):
-        return t.link.p if t.link.p > 1 else 1
-    if isinstance(t.link, TrefoilSurgeryLink):
-        return abs(t.link.framing)
-    return t.h1_link.order

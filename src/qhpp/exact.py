@@ -16,7 +16,6 @@ __all__ = [
     "hj_expand",
     "hj_value",
     "is_perfect_square",
-    "is_square_unit_mod",
     "unit_squares_mod",
     "factorize",
     "factor_string",
@@ -76,19 +75,6 @@ def unit_squares_mod(n: int) -> frozenset[int]:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return frozenset(u * u % n for u in range(1, n // 2 + 1) if math.gcd(u, n) == 1)
-
-
-def is_square_unit_mod(c: int, n: int) -> bool:
-    """True iff c is congruent to the square of a unit modulo n.
-
-    Requires gcd(c, n) = 1.  Decided by exhaustive check over residues; the
-    moduli arising here are small products of singularity-link orders.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if math.gcd(c, n) != 1:
-        raise ValueError(f"c must be a unit mod n, got gcd({c}, {n}) != 1")
-    return c % n in unit_squares_mod(n)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -31,15 +31,18 @@ normalized, sorted among themselves and below every used column.  Since
 ``canonical_form`` is a complete invariant of the orbit, distinct states are
 distinct partial orbits.  Conversely the first rows of a canonical form are
 a canonical form, and its last row is one of that state's extensions, so
-every orbit is reached.  ``canonical_form`` is applied once, to each
-finished embedding, after its rows are put back in vertex order.  The
-orthogonal complement of an embedding is computed in integers.
+every orbit is reached.  A state's rows are its parent's and one more, so the
+column table its walk reads is the parent's extended by that row.
+``canonical_form`` is applied once, to each finished embedding, after its
+rows are put back in vertex order.  The orthogonal complement of an
+embedding is computed in integers.
 
 One unit of the extension budget is one candidate value tried for one
 coordinate of a new vector.  The coordinate walk keeps the count in a local
 integer and checks it at each charge, before the values are tried, so an
 exhausted budget raises ResourceBudgetExceeded, never a silent truncation,
-after work proportional to the budget.
+after work proportional to the budget.  Fresh shapes are memoized, and the
+units of their search are charged in full at each use, as if searched anew.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from math import isqrt
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
 
 from .catalog import LensLink, SingularityType
@@ -118,7 +121,7 @@ def chain_gram(chains) -> list[list[int]]:
 def _normalize_chains(lattices) -> list[tuple[int, ...]]:
     chains = []
     for chain in lattices:
-        weights = tuple(int(w) for w in chain)
+        weights = tuple(map(index, chain))
         if not weights:
             raise ValueError("empty plumbing chain")
         if any(w > -2 for w in weights):
@@ -179,56 +182,70 @@ def _over_budget(budget: int) -> ResourceBudgetExceeded:
     return ResourceBudgetExceeded(f"embedding search exceeded budget of {budget} extensions")
 
 
-def _used_parts(placed, used: int, dots, norm: int, spent: int, budget: int):
-    """Every u in Z^used with |u|^2 <= norm and <u, placed[j]> == dots[j] on
-    the first ``used`` coordinates, as pairs (u, norm - |u|^2), and the
-    budget units ``spent`` once they are all found.
+def _grow_table(table, j: int, row, used: int):
+    """The column table on ``used`` coordinates of a parent's rows and one
+    more, ``row``, which is row ``j``, grown from the parent's ``table``.  Its
+    rows are zero past ``table``, whose last column then has a nonzero entry.
+
+    Entry c holds: the pairs (i, rows[i][c]) of the rows that close at c (use
+    no later coordinate); whether column c equals column c - 1 (swapping
+    equal columns fixes every row, so a new part is nonincreasing on their
+    runs); the pairs with rows[i][c] != 0; the rows to check after a zero and
+    after another value at c (past column 0 only open rows, as a forced value
+    cleared a closed row's gap, and after a zero, which keeps the norm, only
+    those in column c; nothing checked the root, so column 0 checks all); the
+    squared norm of each row after c.
+    """
+    known, rest = len(table), 0
+    grown = [None] * used
+    for c in reversed(range(used)):
+        x = row[c]
+        if c < known:
+            closing, same, entries, touched, opened, after = table[c]
+        else:
+            closing = entries = touched = opened = ()
+            same = c > known
+            after = (0,) * j
+        same = c > 0 and same and x == row[c - 1]
+        if x:
+            entries += ((j, x),)
+            if not rest:
+                closing += ((j, x),)
+            elif c:
+                touched += (j,)
+        if c == 0:
+            touched = opened = range(j + 1)
+        elif rest:
+            opened += (j,)
+        grown[c] = (closing, same, entries, touched, opened, after + (rest,))
+        rest += x * x
+    return grown
+
+
+def _used_parts(table, dots, norm: int, spent: int, budget: int):
+    """Every u in Z^used with |u|^2 <= norm and <u, rows[j]> == dots[j] on the
+    ``used`` coordinates of ``table`` (see ``_grow_table``), as pairs
+    (u, norm - |u|^2), and the budget units ``spent`` once they are all found.
 
     Built coordinate by coordinate, depth first from an explicit stack.  A
     prefix is cut as soon as some required dot product is out of reach of the
     coordinates left: by Cauchy-Schwarz the rest of <u, p> is at most
-    sqrt(remaining norm * |rest of p|^2).  At the last coordinate a placed
-    vector uses, its dot product forces the value.  Each coordinate charges
-    the values it tries, and raises as soon as ``budget`` is passed.
+    sqrt(remaining norm * |rest of p|^2).  At the last coordinate a row uses,
+    its dot product forces the value.  Each coordinate charges the values it
+    tries, and raises as soon as ``budget`` is passed.
     """
-    stack, leaves, seen = [], [], []
-    # table[c]: the pairs (j, placed[j][c]) of the vectors that close at c (use no
-    # later coordinate); whether column c equals column c - 1 (swapping equal columns
-    # fixes every placed vector, so u is nonincreasing on their runs); the pairs with
-    # placed[j][c] != 0; the j to check after a zero and after another value at c;
-    # the squared norm of each placed[j] after c; where the children go.
-    cols = list(zip(*placed))[:used]
-    table = [()] * used
-    tail = [0] * len(placed)
-    emit = leaves.append
-    for c in reversed(range(used)):
-        col = cols[c]
-        after = tuple(tail)
-        opened = tuple(seen)
-        entries, closing, touched = [], [], []
-        for j, p in enumerate(col):
-            if p:
-                entries.append((j, p))
-                if tail[j]:
-                    touched.append(j)
-                else:
-                    closing.append((j, p))
-                    seen.append(j)
-                tail[j] += p * p
-        # Past column 0 a closed vector's gap is zero (its forced value cleared it),
-        # so only open vectors are checked, and after a zero, which keeps the norm,
-        # only those in column c.  Nothing checked the root: column 0 checks all.
-        if c == 0:
-            touched = opened = range(len(placed))
-        table[c] = (closing, c > 0 and col == cols[c - 1], entries, touched, opened, after, emit)
-        emit = stack.append
+    last = len(table) - 1
+    if last < 0:
+        return [((), norm)], spent
     # A node is (column, head, remaining norm, gaps), gaps[j] being the part of
     # dots[j] still to be made up.  Children are pushed largest value first, so they
-    # pop in the order a recursion visits them.  If used == 0 the root is a leaf.
-    emit((0, (), norm, list(dots)))
+    # pop in the order a recursion visits them.
+    stack, leaves = [(0, (), norm, list(dots))], []
+    push, leaf = stack.append, leaves.append
     while stack:
         c, head, rem, gaps = stack.pop()
-        closing, same, col, touched, opened, after, emit = table[c]
+        closing, same, col, touched, opened, after = table[c]
+        emit = leaf if c == last else push
         bound = isqrt(rem)
         high = min(bound, head[-1]) if same else bound
         low = -bound
@@ -259,30 +276,27 @@ def _used_parts(placed, used: int, dots, norm: int, spent: int, budget: int):
     return [leaf[1:3] for leaf in leaves], spent
 
 
-def _fresh_parts(rest: int, slots: int, largest: int, spent: int, budget: int):
-    """Nonincreasing tuples of at most ``slots`` positive integers, none above
-    ``largest``, whose squares sum to ``rest``, largest parts first; and the
-    budget units ``spent`` once they are all found."""
-    if rest == 0:
-        return [()], spent
-    if slots == 0:
-        return [], spent
-    out = []
-    # The first part x must leave a rest that slots - 1 parts of at most x
-    # can fill: rest <= slots * x^2.
-    low = 1
-    while low * low * slots < rest:
-        low += 1
-    top = min(largest, isqrt(rest))
-    if top < low:
-        return out, spent
-    spent += top - low + 1
-    if spent > budget:
-        raise _over_budget(budget)
-    for x in range(top, low - 1, -1):
-        tails, spent = _fresh_parts(rest - x * x, slots - 1, x, spent, budget)
-        out.extend((x,) + tail for tail in tails)
-    return out, spent
+@lru_cache(maxsize=None)
+def _fresh_parts(rest: int, slots: int):
+    """Nonincreasing tuples of at most ``slots`` positive integers whose
+    squares sum to ``rest``, largest parts first, and the budget units their
+    search tries.  Callers pass slots <= rest, as more parts cannot fit."""
+    def search(rest, slots, largest):
+        if rest == 0 or slots == 0:
+            return ([] if rest else [()]), 0
+        # The first part x must leave a rest that slots - 1 parts of at most x
+        # can fill: rest <= slots * x^2.
+        low = isqrt((rest - 1) // slots) + 1
+        top = min(largest, isqrt(rest))
+        out, units = [], max(0, top - low + 1)
+        for x in range(top, low - 1, -1):
+            tails, more = search(rest - x * x, slots - 1, x)
+            units += more
+            out.extend((x,) + tail for tail in tails)
+        return out, units
+
+    shapes, units = search(rest, slots, rest)
+    return tuple(shapes), units
 
 
 def enumerate_embeddings(lattices, ambient_rank: int,
@@ -292,9 +306,12 @@ def enumerate_embeddings(lattices, ambient_rank: int,
 
     An empty result means no embedding exists.  Raises
     ResourceBudgetExceeded if more than ``budget`` candidate coordinate values
-    are tried.
+    are tried, and TypeError if a weight or the rank is not an integer.  Column
+    tables grow from the parent state's, and memoized fresh shapes are charged
+    in full at each use, so spend and result never depend on earlier calls.
     """
     chains = _normalize_chains(lattices)
+    ambient_rank = index(ambient_rank)
     gram = chain_gram(chains)
     total = len(gram)
     if total > ambient_rank:
@@ -311,24 +328,29 @@ def enumerate_embeddings(lattices, ambient_rank: int,
     order = sorted(range(total), key=lambda k: -gram[k][k])
 
     spent = 0
-    # Each state is the canonical form of one partial orbit, with the number
-    # of coordinates it uses: the vectors placed so far, in placement order,
-    # with the used coordinates first.  Extensions are canonical already
-    # (see the module docstring), so no state is compared with another.
-    states: list[tuple[tuple[tuple[int, ...], ...], int]] = [((), 0)]
+    # A state is the canonical form of one partial orbit (the vectors placed so
+    # far, in placement order, used coordinates first), the number of
+    # coordinates it uses, and its parent's column table, which a walked state
+    # grows by its last row.  Extensions are canonical already (see the module
+    # docstring), so no state is compared with another.
+    states = [((), 0, ())]
     for level, k in enumerate(order):
         norm = -gram[k][k]
         # Ambient dot products are minus the required pairings.
         dots = [-gram[k][order[j]] for j in range(level)]
         next_states = []
-        for placed, used in states:
+        for placed, used, table in states:
+            table = _grow_table(table, level - 1, placed[-1], used) if level else table
             free = rank - used
-            heads, spent = _used_parts(placed, used, dots, norm, spent, budget)
+            heads, spent = _used_parts(table, dots, norm, spent, budget)
             for head, rest in heads:
-                tails, spent = _fresh_parts(rest, free, rest, spent, budget)
+                tails, units = _fresh_parts(rest, min(free, rest))
+                spent += units
+                if spent > budget:
+                    raise _over_budget(budget)
                 for tail in tails:
                     vec = head + tail + (0,) * (free - len(tail))
-                    next_states.append((placed + (vec,), used + len(tail)))
+                    next_states.append((placed + (vec,), used + len(tail), table))
         states = next_states
         if not states:
             return []
@@ -338,13 +360,14 @@ def enumerate_embeddings(lattices, ambient_rank: int,
     for pos, k in enumerate(order):
         inverse[k] = pos
     results = sorted(canonical_form(tuple(placed[inverse[k]] for k in range(total)), rank)
-                     for placed, _ in states)
+                     for placed, _, _ in states)
+    # Both sides are symmetric: the lower triangle on the unpadded rows suffices.
+    if any(-_dot(a, b) != g for rows in results for i, a in enumerate(rows)
+           for b, g in zip(rows[:i + 1], gram[i])):
+        raise AssertionError("embedding fails its Gram constraints")
     pad = (0,) * (ambient_rank - rank)
     embeddings = [PlumbingEmbedding(tuple(row + pad for row in rows), ambient_rank)
                   for rows in results]
-    for emb in embeddings:
-        if emb.gram_matrix() != gram:
-            raise AssertionError("embedding fails its Gram constraints")
     return embeddings
 
 

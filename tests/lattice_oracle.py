@@ -12,6 +12,10 @@ columns taken up to sign.
 
 Neither shares code with ``qhpp.lattice``: candidate vectors come from a plain
 scan of the cube and from a recursive generator.
+
+``column_table`` builds the search's per-state column table from scratch,
+one column at a time from the last, as the search did before it carried each
+state's table over from its parent.
 """
 
 import itertools
@@ -158,3 +162,38 @@ def naive_orbits(chains, rank):
                     next_states.setdefault(column_key(grown, rank), grown)
         states = next_states
     return states
+
+
+def column_table(rows, used):
+    """The column table of ``rows`` on their first ``used`` coordinates, in
+    the layout of ``qhpp.lattice._grow_table``, scanned from the last column
+    to the first.
+
+    Entry c holds: the pairs (j, rows[j][c]) of the rows whose last nonzero
+    entry is at c; whether column c equals column c - 1; the pairs with
+    rows[j][c] != 0; the rows to check after a zero at c (those nonzero at c
+    and after it) and after another value (those nonzero after c), every row
+    at column 0; and the squared norm of each row after c.
+    """
+    cols = list(zip(*rows))[:used]
+    table = [None] * used
+    tail = [0] * len(rows)
+    for c in reversed(range(used)):
+        col = cols[c]
+        after = tuple(tail)
+        opened = tuple(j for j, t in enumerate(tail) if t)
+        entries, closing, touched = [], [], []
+        for j, p in enumerate(col):
+            if p:
+                entries.append((j, p))
+                if tail[j]:
+                    touched.append(j)
+                else:
+                    closing.append((j, p))
+                tail[j] += p * p
+        touched = tuple(touched)
+        if c == 0:
+            touched = opened = range(len(rows))
+        table[c] = (tuple(closing), c > 0 and col == cols[c - 1], tuple(entries),
+                    touched, opened, after)
+    return table

@@ -62,11 +62,11 @@ def test_is_perfect_square():
 
 
 def test_is_square_unit_mod_known_values():
-    assert not exact.is_square_unit_mod(7, 12)
-    assert not exact.is_square_unit_mod(29, 36)
-    assert not exact.is_square_unit_mod(5, 9)
+    assert 7 not in exact.unit_squares_mod(12)
+    assert 29 not in exact.unit_squares_mod(36)
+    assert 5 not in exact.unit_squares_mod(9)
     for n in range(2, 60):
-        assert exact.is_square_unit_mod(1, n)
+        assert 1 in exact.unit_squares_mod(n)
 
 
 def test_is_square_unit_mod_agrees_with_enumeration():
@@ -74,7 +74,7 @@ def test_is_square_unit_mod_agrees_with_enumeration():
         units = [c for c in range(1, n) if math.gcd(c, n) == 1]
         squares = {u * u % n for u in units}
         for c in units:
-            assert exact.is_square_unit_mod(c, n) == (c in squares)
+            assert (c in exact.unit_squares_mod(n)) == (c in squares)
 
 
 def test_unit_squares_mod_matches_the_full_range():
@@ -87,10 +87,11 @@ def test_unit_squares_mod_matches_the_full_range():
 
 
 def test_is_square_unit_mod_rejects_non_units():
-    with pytest.raises(ValueError):
-        exact.is_square_unit_mod(4, 12)
-    with pytest.raises(ValueError):
-        exact.is_square_unit_mod(0, 5)
+    # A square unit is a unit, so no residue sharing a factor with n is one.
+    for c, n in ((4, 12), (0, 5)):
+        assert math.gcd(c, n) != 1 and c not in exact.unit_squares_mod(n)
+    for n in range(2, 101):
+        assert all(math.gcd(s, n) == 1 for s in exact.unit_squares_mod(n))
 
 
 class PairRational:

@@ -312,6 +312,18 @@ def test_pool_budgets_are_locked():
             lattice.enumerate_embeddings(chains, rank, budget=budget - 1)
 
 
+from lattice_oracle import column_table as _column_table
+
+
+def _table(rows, used):
+    """The search's column table of ``rows``, folded from the empty table one
+    row at a time, as the search grows it."""
+    table = ()
+    for j, row in enumerate(rows):
+        table = lattice._grow_table(table, j, row, used)
+    return table
+
+
 @st.composite
 def _walk_states(draw):
     used = draw(st.integers(1, 5))
@@ -335,7 +347,7 @@ def test_used_parts_match_a_brute_force_scan(state):
         if sum(x * x for x in u) <= norm
         and all(sum(map(mul, u, row)) == d for row, d in zip(placed, dots))
         and all(u[c] <= u[c - 1] for c in range(1, used) if cols[c] == cols[c - 1]))
-    parts, spent = lattice._used_parts(placed, used, dots, norm, 0, 10**9)
+    parts, spent = lattice._used_parts(_table(placed, used), dots, norm, 0, 10**9)
     assert sorted(parts) == expected
     assert spent >= len(parts)
 
@@ -346,11 +358,12 @@ def test_walk_raises_as_soon_as_the_budget_is_spent():
     # of them before it raised.
     used = 12
     placed = (tuple(range(used, 0, -1)),)
+    table = _table(placed, used)
     start = time.perf_counter()
     tracemalloc.start()
     try:
         with pytest.raises(lattice.ResourceBudgetExceeded):
-            lattice._used_parts(placed, used, [0], 16, 0, 5_000)
+            lattice._used_parts(table, [0], 16, 0, 5_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -358,10 +371,99 @@ def test_walk_raises_as_soon_as_the_budget_is_spent():
     assert time.perf_counter() - start < 2.0
     # The count starts from the search's earlier spend and is held against
     # what the budget has left.
-    parts, cost = lattice._used_parts(placed, 6, [0], 16, 0, 10_000)
-    assert lattice._used_parts(placed, 6, [0], 16, 10_000 - cost, 10_000) == (parts, 10_000)
+    table = _table(placed, 6)
+    parts, cost = lattice._used_parts(table, [0], 16, 0, 10_000)
+    assert lattice._used_parts(table, [0], 16, 10_000 - cost, 10_000) == (parts, 10_000)
     with pytest.raises(lattice.ResourceBudgetExceeded):
-        lattice._used_parts(placed, 6, [0], 16, 10_001 - cost, 10_000)
+        lattice._used_parts(table, [0], 16, 10_001 - cost, 10_000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_walk_states())
+def test_folded_table_equals_a_rebuild(state):
+    # Any matrix, canonical or not, with zero and equal columns among others.
+    placed, used, _, _ = state
+    assert _table(placed, used) == _column_table(placed, used)
+
+
+def _grown_tables_match_a_rebuild(chains, rank, budget=lattice.DEFAULT_BUDGET):
+    """Run one search, rebuilding from scratch the table of every state it
+    walks and comparing it with the table the state grew from its parent's.
+    Returns the number of tables compared."""
+    grow = lattice._grow_table
+    # The root state's table is the empty tuple, which has no rows.
+    rows_of = {id(()): ((), ())}
+    checked = 0
+
+    def grow_and_check(table, j, row, used):
+        nonlocal checked
+        grown = grow(table, j, row, used)
+        rows = rows_of[id(table)][1] + (row,)
+        assert j == len(rows) - 1
+        assert grown == _column_table(rows, used), rows
+        # The table is kept alive with its rows, so its id is not reused.
+        rows_of[id(grown)] = (grown, rows)
+        checked += 1
+        return grown
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_grow_table", grow_and_check)
+        try:
+            lattice.enumerate_embeddings(chains, rank, budget=budget)
+        except lattice.ResourceBudgetExceeded:
+            pass
+    return checked
+
+
+def test_carried_tables_equal_a_rebuild_on_the_pool():
+    instances = json.loads(POOL_FILE.read_text())["instances"]
+    checked = [_grown_tables_match_a_rebuild(inst["chains"], inst["rank"])
+               for inst in instances]
+    assert len(checked) == 18 and all(checked)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chains_in_rank_5_to_7())
+def test_carried_tables_equal_a_rebuild_on_random_chains(instance):
+    chains, rank = instance
+    _grown_tables_match_a_rebuild(chains, rank, budget=20_000)
+
+
+def _square_partitions(rest, slots):
+    """Every nonincreasing tuple of at most ``slots`` positive integers whose
+    squares sum to ``rest``, by a scan of all such tuples."""
+    box = range(math.isqrt(rest), 0, -1)
+    return {parts for n in range(slots + 1)
+            for parts in itertools.combinations_with_replacement(box, n)
+            if sum(x * x for x in parts) == rest}
+
+
+def test_fresh_parts_match_a_brute_force_scan():
+    for rest in range(17):
+        for slots in range(min(rest, 12) + 1):
+            shapes, units = lattice._fresh_parts(rest, slots)
+            assert list(shapes) == sorted(_square_partitions(rest, slots), reverse=True)
+            assert units >= len(shapes) or rest == 0
+        # More slots than rest cannot be filled, so the search keys on
+        # min(slots, rest) and charges the same units.
+        for slots in range(rest + 1, 13):
+            assert lattice._fresh_parts(rest, slots) == lattice._fresh_parts(rest, rest)
+
+
+def test_fresh_shapes_memo_ignores_history_and_budget():
+    # Units are charged in full at each use of a memoized shape list, so a
+    # warm cache neither saves budget nor changes a result.
+    instances = json.loads(POOL_FILE.read_text())["instances"]
+    cold = []
+    for inst in instances:
+        lattice._fresh_parts.cache_clear()
+        cold.append(lattice.enumerate_embeddings(inst["chains"], inst["rank"]))
+    lattice._fresh_parts.cache_clear()
+    for inst, budget, expected in zip(instances, POOL_BUDGETS, cold):
+        chains, rank = inst["chains"], inst["rank"]
+        with pytest.raises(lattice.ResourceBudgetExceeded):
+            lattice.enumerate_embeddings(chains, rank, budget=budget - 1)
+        assert lattice.enumerate_embeddings(chains, rank, budget=budget) == expected
 
 
 def test_orbit_representatives_are_inequivalent():
@@ -424,6 +526,13 @@ def test_input_validation():
         lattice.enumerate_embeddings([[]], 2)
     with pytest.raises(ValueError):
         lattice.enumerate_embeddings([[-2, -2], [-2]], 2)
+    # Weights and rank are read as integers, never truncated or parsed.
+    with pytest.raises(TypeError):
+        lattice.enumerate_embeddings([[-2.9, -2]], 3)
+    with pytest.raises(TypeError):
+        lattice.enumerate_embeddings([["-2", -2]], 3)
+    with pytest.raises(TypeError):
+        lattice.enumerate_embeddings([[-2, -2]], 3.7)
 
 
 def test_deterministic_output():
@@ -478,3 +587,24 @@ def test_donaldson_not_applicable_for_non_lens_links():
     for tokens in ["E8", "A1(1) D7", "K2 E6", "D5"]:
         v = lattice.donaldson_obstruction(_config(tokens))
         assert v.outcome is Outcome.NOT_APPLICABLE, tokens
+
+
+def test_bench_tracer_patches_the_installed_package(monkeypatch):
+    # The benchmark's per-layer trace wraps qhpp functions by module
+    # attribute; renaming one must fail here, not only under the benchmark.
+    monkeypatch.syspath_prepend(str(POOL_FILE.parent))
+    from tracing import Tracer
+
+    from qhpp import floer, linking, screening
+    modules = (screening, lattice, linking, floer)
+    before = [dict(vars(m)) for m in modules]
+    tracer = Tracer()
+    with tracer:
+        orbits = lattice.enumerate_embeddings([[-2, -10, -2]], 4)
+        witness = lattice.complement_witness(orbits[0])
+    assert [dict(vars(m)) for m in modules] == before
+    assert witness == lattice.complement_witness(orbits[0])
+    metrics = tracer.export()
+    assert metrics["lattice.searches"] == 1
+    assert metrics["lattice.orbits"] == metrics["lattice.canonical_form_calls"] == len(orbits)
+    assert metrics["lattice.witness_calls"] == 1
