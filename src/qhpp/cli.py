@@ -42,19 +42,10 @@ class UsageError(Exception):
 def _format_vector(vec) -> str:
     parts = []
     for i, x in enumerate(vec, start=1):
-        if x == 0:
-            continue
-        if x == 1:
-            term = f"e{i}"
-        elif x == -1:
-            term = f"-e{i}"
-        else:
-            term = f"{x}e{i}"
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
-    return "".join(parts) if parts else "0"
+        if x:
+            term = {1: "", -1: "-"}.get(x, str(x)) + f"e{i}"
+            parts.append("+" + term if parts and x > 0 else term)
+    return "".join(parts) or "0"
 
 
 _ROW_HEADERS = ["Type", "L", "K^2", "D"]
@@ -208,11 +199,8 @@ def _cmd_embed(args) -> int:
     for idx, emb in enumerate(embeddings, start=1):
         print()
         print(f"orbit {idx}:")
-        offset = 0
-        for chain in chains:
-            for w in chain:
-                print(f"  {w:>4}  {_format_vector(emb.vectors[offset])}")
-                offset += 1
+        for w, vec in zip([w for chain in chains for w in chain], emb.vectors):
+            print(f"  {w:>4}  {_format_vector(vec)}")
         if corank_one:
             wit = lattice.complement_witness(emb)
             print(f"  complement generator {_format_vector(wit.generator)} "
@@ -391,16 +379,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _join_negative_values(argv: list[str]) -> list[str]:
     # Values of these flags legitimately start with '-'; fold them into
     # '--flag=value' form so argparse does not mistake them for options.
-    out = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg in ("--graphs", "--sum") and i + 1 < len(argv):
-            out.append(f"{arg}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(arg)
-            i += 1
+    out, args = [], iter(argv)
+    for arg in args:
+        value = next(args, None) if arg in ("--graphs", "--sum") else None
+        out.append(arg if value is None else f"{arg}={value}")
     return out
 
 

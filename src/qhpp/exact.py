@@ -17,6 +17,7 @@ __all__ = [
     "hj_value",
     "is_perfect_square",
     "unit_squares_mod",
+    "hilbert_symbol",
     "factorize",
     "factor_string",
 ]
@@ -75,6 +76,27 @@ def unit_squares_mod(n: int) -> frozenset[int]:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return frozenset(u * u % n for u in range(1, n // 2 + 1) if math.gcd(u, n) == 1)
+
+
+def hilbert_symbol(a: int, b: int, p: int) -> int:
+    """The Hilbert symbol (a, b)_p of nonzero integers at a prime p, which is
+    not tested for primality: 1 if z^2 = a x^2 + b y^2 has a nonzero p-adic
+    solution, else -1 (Serre, "A Course in Arithmetic", Ch. III, Thm. 1)."""
+    if not a or not b or p < 2:
+        raise ValueError(f"need nonzero a and b and a prime p, got ({a}, {b}, {p})")
+    s = t = 0
+    while a % p == 0:
+        a, s = a // p, s + 1
+    while b % p == 0:
+        b, t = b // p, t + 1
+    if p == 2:
+        # (-1)^(e(a) e(b) + s w(b) + t w(a)): e(u) = [u = 3 mod 4], w(u) = [u = +-3 mod 8].
+        odd = (a % 4 == 3 == b % 4) + s * (b % 8 in (3, 5)) + t * (a % 8 in (3, 5))
+    else:
+        # (-1)^(s t (p-1)/2) (a/p)^t (b/p)^s, by Euler's criterion.
+        half = (p - 1) // 2
+        odd = s * t * half + (t % 2 and pow(a, half, p) != 1) + (s % 2 and pow(b, half, p) != 1)
+    return -1 if odd % 2 else 1
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

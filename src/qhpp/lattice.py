@@ -43,6 +43,16 @@ integer and checks it at each charge, before the values are tried, so an
 exhausted budget raises ResourceBudgetExceeded, never a silent truncation,
 after work proportional to the budget.  Fresh shapes are memoized, and the
 units of their search are charged in full at each use, as if searched anew.
+
+At corank one a test over the rationals comes first.  An embedding of L into
+-Z^(n+1), n = rank L, splits Q^(n+1) as L + <w>, and determinants give
+|w|^2 = det(-L) up to squares, so -L + <det(-L)> is rationally the unit form.  Positive definite forms of
+equal rank and determinant are rationally isometric if and only if their
+Hasse invariants agree at every prime (Serre, "A Course in Arithmetic", 1973,
+Ch. III-IV), and the unit form's are all 1.  A -1 at 2 or at a small prime
+dividing a continuant of the chains proves that nothing embeds: the search
+returns [] unstarted, spends no budget, and otherwise runs as without the
+test.  A prime left untried can only miss a refutation, never make one.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ from typing import NamedTuple
 from .catalog import LensLink, SingularityType
 from .configuration import (DEFAULT_BUDGET, Configuration, ObstructionVerdict, Outcome,
                             ResourceBudgetExceeded)
-from .exact import hj_expand
+from .exact import hilbert_symbol, hj_expand
 
 __all__ = [
     "ResourceBudgetExceeded",
@@ -85,9 +95,6 @@ class PlumbingEmbedding(NamedTuple):
     """One orbit representative: rows are vertex vectors in input order."""
     vectors: tuple[tuple[int, ...], ...]
     ambient_rank: int
-
-    def gram_entry(self, i: int, j: int) -> int:
-        return -_dot(self.vectors[i], self.vectors[j])
 
     def gram_matrix(self) -> list[list[int]]:
         return [[-_dot(a, b) for b in self.vectors] for a in self.vectors]
@@ -176,6 +183,36 @@ def canonical_form(rows, rank: int) -> tuple[tuple[int, ...], ...]:
         cols.append(tuple(col))
     cols.sort(reverse=True)
     return tuple(tuple(cols[c][r] for c in range(rank)) for r in range(nrows))
+
+
+# The odd primes the rational test tries; continuants (up to 16^n) are never factored.
+_SMALL_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _rationally_embeds(chains) -> bool:
+    """False if -chain_gram(chains) + <det> has a Hasse invariant -1 at 2 or at
+    a prime in _SMALL_ODD_PRIMES, which refutes every corank-one embedding."""
+    pairs, det = _pivots(chains)
+    primes = [2] + [p for p in _SMALL_ODD_PRIMES if any(pivot % p == 0 for _, pivot in pairs)]
+    # On the diagonal (pivots, det) the invariant, the product of (a_i, a_j)_p
+    # over i < j, is that of (earlier pivots, pivot)_p times (det, det)_p.
+    return all(math.prod(hilbert_symbol(*pair, p) for pair in pairs)
+               == hilbert_symbol(det, -1, p) for p in primes)
+
+
+def _pivots(chains) -> tuple[list[tuple[int, int]], int]:
+    """The pivots of -chain_gram(chains) in vertex order up to squares, each
+    after the product of the earlier ones, and the determinant.  A chain of
+    weights -b_k has leading minors D_k = b_k D_(k-1) - D_(k-2), so pivot k is
+    D_k D_(k-1) up to squares, and the chain's earlier pivots multiply to D_(k-1)."""
+    pairs, prefix = [], 1
+    for chain in chains:
+        before, minor = 0, 1
+        for w in chain:
+            before, minor = minor, -w * minor - before
+            pairs.append((prefix * before, minor * before))
+        prefix *= minor
+    return pairs, prefix
 
 
 def _over_budget(budget: int) -> ResourceBudgetExceeded:
@@ -309,6 +346,8 @@ def enumerate_embeddings(lattices, ambient_rank: int,
     are tried, and TypeError if a weight or the rank is not an integer.  Column
     tables grow from the parent state's, and memoized fresh shapes are charged
     in full at each use, so spend and result never depend on earlier calls.
+    At corank one a Hasse invariant may first refute every embedding (see the
+    module docstring): then [] comes at any budget, unsearched and unspent.
     """
     chains = _normalize_chains(lattices)
     ambient_rank = index(ambient_rank)
@@ -317,6 +356,8 @@ def enumerate_embeddings(lattices, ambient_rank: int,
     if total > ambient_rank:
         raise ValueError(
             f"{total} vertices cannot embed independently in rank {ambient_rank}")
+    if ambient_rank == total + 1 and not _rationally_embeds(chains):
+        return []
     # No vector of norm w uses more than w coordinates, so the search runs in
     # this rank and the rows are padded with zeros, which sort last.
     rank = min(ambient_rank, -sum(gram[k][k] for k in range(total)))
@@ -366,9 +407,8 @@ def enumerate_embeddings(lattices, ambient_rank: int,
            for b, g in zip(rows[:i + 1], gram[i])):
         raise AssertionError("embedding fails its Gram constraints")
     pad = (0,) * (ambient_rank - rank)
-    embeddings = [PlumbingEmbedding(tuple(row + pad for row in rows), ambient_rank)
-                  for rows in results]
-    return embeddings
+    return [PlumbingEmbedding(tuple(row + pad for row in rows), ambient_rank)
+            for rows in results]
 
 
 def complement_witness(emb: PlumbingEmbedding) -> ComplementWitness:

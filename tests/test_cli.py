@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -74,6 +75,26 @@ def test_embed_budget_error_exit_code(capsys):
                            "--ambient", "7", "--budget", "10")
     assert code == 1
     assert "budget" in err
+
+
+def test_embed_refuted_instance_prints_no_orbit_at_any_budget(capsys):
+    # A Hasse invariant refutes every embedding of these chains in rank 8, so
+    # nothing is searched and the smallest budget suffices.
+    code, out, err = run_cli(capsys, "embed", "--graphs", "-11,-2,-2,-2;-2,-2,-3",
+                             "--ambient", "8", "--budget", "1")
+    assert (code, err) == (0, "")
+    assert out == "# Embeddings of '-11,-2,-2,-2;-2,-2,-3' into -Z^8: 0 orbit(s)\n"
+
+
+def test_embed_cost_is_bounded_on_huge_continuants(capsys):
+    # Forty weights -16: the continuants reach 16^40, and the rational test
+    # in front of the search tries small primes only.
+    graphs = ",".join(["-16"] * 40)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "embed", "--graphs", graphs, "--ambient", "41",
+                           "--budget", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and "budget" in err
 
 
 def test_embed_usage_error(capsys):

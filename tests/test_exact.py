@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qhpp import exact
 
@@ -153,3 +155,71 @@ def test_factor_string():
         for prime, exp in exact.factorize(n):
             total *= prime**exp
         assert total == n
+
+
+# Hilbert symbols against local solubility.  For squarefree a and b,
+# z^2 = a x^2 + b y^2 has a nonzero p-adic solution if and only if it has one
+# modulo HILBERT_MODULI[p] with x, y, z not all divisible by p.
+HILBERT_MODULI = {2: 2**5, 3: 3**3, 5: 5**3, 7: 7**2}
+
+
+def _locally_soluble(a, b, p, m, squares):
+    # Values z^2 - a x^2 mod m, each with whether it came from an x or z prime to p.
+    left = {}
+    for sx in squares:
+        for sz in squares:
+            v = (sz - a * sx) % m
+            left[v] = left.get(v, False) or bool(sx % p or sz % p)
+    return any((b * sy) % m in left and (left[(b * sy) % m] or sy % p) for sy in squares)
+
+
+def _squarefree(n):
+    return all(n % (d * d) for d in range(2, math.isqrt(abs(n)) + 1))
+
+
+def test_hilbert_symbol_matches_local_solubility():
+    values = [n for n in range(-30, 31) if n and _squarefree(n)]
+    checked = 0
+    for p, m in HILBERT_MODULI.items():
+        squares = sorted({x * x % m for x in range(m)})
+        for a in values:
+            for b in values:
+                expected = 1 if _locally_soluble(a, b, p, m, squares) else -1
+                assert exact.hilbert_symbol(a, b, p) == expected, (a, b, p)
+                checked += 1
+    assert checked == 5776
+
+
+def _primes_dividing(n):
+    n, d, out = abs(n), 2, []
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
+
+
+_nonzero = st.integers(-10**6, 10**6).filter(bool)
+
+
+@given(_nonzero, _nonzero)
+def test_hilbert_symbol_reciprocity(a, b):
+    # The product over all places is 1: the finite places give the real symbol,
+    # which is -1 only for two negative numbers.  Only primes dividing 2ab count.
+    product = math.prod(exact.hilbert_symbol(a, b, p) for p in _primes_dividing(2 * a * b))
+    assert product == (-1 if a < 0 and b < 0 else 1)
+
+
+@given(_nonzero, st.sampled_from([2, 3, 5, 7, 11, 13, 10007]))
+def test_hilbert_symbol_of_a_and_minus_a_is_one(a, p):
+    assert exact.hilbert_symbol(a, -a, p) == 1
+    if a != 1:
+        assert exact.hilbert_symbol(a, 1 - a, p) == 1
+
+
+def test_hilbert_symbol_rejects_zero_and_non_primes():
+    for args in [(0, 1, 2), (1, 0, 3), (1, 1, 1), (1, 1, 0)]:
+        with pytest.raises(ValueError):
+            exact.hilbert_symbol(*args)

@@ -1,8 +1,10 @@
+import contextlib
 import itertools
 import json
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 from operator import mul
 from pathlib import Path
 
@@ -12,6 +14,22 @@ from hypothesis import strategies as st
 
 from qhpp import catalog, lattice
 from qhpp.configuration import Configuration, Outcome
+
+
+@contextlib.contextmanager
+def _bare_search():
+    """The search without the rational test in front of it, which refutes
+    some corank-one instances before any search: the search alone must still
+    find no orbit there, and its spend is locked on them too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_rationally_embeds", lambda chains: True)
+        yield
+
+
+@pytest.fixture
+def bare_search():
+    with _bare_search():
+        yield
 
 
 def test_plumbing_for_reversed_link():
@@ -65,7 +83,7 @@ def test_gram_constraints_hold_post_hoc():
                         expected = 1
                     else:
                         expected = 0
-                    assert emb.gram_entry(i, j) == expected
+                    assert emb.gram_matrix()[i][j] == expected
 
 
 def test_complement_witness_properties():
@@ -161,13 +179,23 @@ def _chains_in_small_rank(draw):
     return chains, rank
 
 
-@settings(max_examples=40, deadline=None)
-@given(_chains_in_small_rank())
-def test_random_chains_match_brute_force_oracle(instance):
-    chains, rank = instance
+def _assert_matches_brute_force(chains, rank):
     fast = [_orbit_min(e.vectors, rank) for e in lattice.enumerate_embeddings(chains, rank)]
     assert len(set(fast)) == len(fast)
     assert set(fast) == _brute_force_orbits(chains, rank)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chains_in_small_rank())
+def test_random_chains_match_brute_force_oracle(instance):
+    _assert_matches_brute_force(*instance)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chains_in_small_rank())
+def test_random_chains_match_brute_force_oracle_on_the_bare_search(instance):
+    with _bare_search():
+        _assert_matches_brute_force(*instance)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +257,15 @@ def test_random_chains_match_naive_oracle(instance):
                           [e.vectors for e in lattice.enumerate_embeddings(chains, rank)])
 
 
+@settings(max_examples=25, deadline=None)
+@given(_chains_in_rank_5_to_7())
+def test_random_chains_match_naive_oracle_on_the_bare_search(instance):
+    chains, rank = instance
+    with _bare_search():
+        _assert_matches_naive(chains, rank,
+                              [e.vectors for e in lattice.enumerate_embeddings(chains, rank)])
+
+
 # Orbit counts above the paper's sizes, measured with an earlier, independent
 # implementation of the search (a numpy scan of every vector of each norm).
 RANK_8_TO_10_INSTANCES = [
@@ -277,6 +314,8 @@ def test_donaldson_complements_match_minor_oracle(classified, index):
 # coordinate value.  ``--budget``, DEFAULT_BUDGET and the admission budget of
 # the embedding benchmark pool all count in this unit, so it must not move;
 # the figures move only with the search tree, here lightest vertices first.
+# The rational test settles two of these instances and eight of the pool's
+# before any search, so the locks hold the bare search.
 BUDGET_LOCK = [
     ([[-2, -2, -2, -2], [-10], [-2, -6, -2]], 9, 410),
     ([[-5, -2, -6, -2, -2, -2], [-2, -2], [-3]], 10, 1193),
@@ -290,7 +329,7 @@ BUDGET_LOCK = [
 
 @pytest.mark.parametrize("chains,rank,budget", BUDGET_LOCK,
                          ids=[str(c) for c, _, _ in BUDGET_LOCK])
-def test_budget_unit_is_locked(chains, rank, budget):
+def test_budget_unit_is_locked(bare_search, chains, rank, budget):
     lattice.enumerate_embeddings(chains, rank, budget=budget)
     with pytest.raises(lattice.ResourceBudgetExceeded):
         lattice.enumerate_embeddings(chains, rank, budget=budget - 1)
@@ -302,7 +341,7 @@ POOL_BUDGETS = [309, 758, 863, 167, 147, 409, 275, 103, 203, 331, 410, 2630, 236
                 156, 260, 1193, 1110]
 
 
-def test_pool_budgets_are_locked():
+def test_pool_budgets_are_locked(bare_search):
     instances = json.loads(POOL_FILE.read_text())["instances"]
     assert len(instances) == len(POOL_BUDGETS) and sum(POOL_BUDGETS) == 9798
     for inst, budget in zip(instances, POOL_BUDGETS):
@@ -415,7 +454,7 @@ def _grown_tables_match_a_rebuild(chains, rank, budget=lattice.DEFAULT_BUDGET):
     return checked
 
 
-def test_carried_tables_equal_a_rebuild_on_the_pool():
+def test_carried_tables_equal_a_rebuild_on_the_pool(bare_search):
     instances = json.loads(POOL_FILE.read_text())["instances"]
     checked = [_grown_tables_match_a_rebuild(inst["chains"], inst["rank"])
                for inst in instances]
@@ -427,6 +466,14 @@ def test_carried_tables_equal_a_rebuild_on_the_pool():
 def test_carried_tables_equal_a_rebuild_on_random_chains(instance):
     chains, rank = instance
     _grown_tables_match_a_rebuild(chains, rank, budget=20_000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chains_in_rank_5_to_7())
+def test_carried_tables_equal_a_rebuild_on_random_chains_on_the_bare_search(instance):
+    chains, rank = instance
+    with _bare_search():
+        _grown_tables_match_a_rebuild(chains, rank, budget=20_000)
 
 
 def _square_partitions(rest, slots):
@@ -450,7 +497,7 @@ def test_fresh_parts_match_a_brute_force_scan():
             assert lattice._fresh_parts(rest, slots) == lattice._fresh_parts(rest, rest)
 
 
-def test_fresh_shapes_memo_ignores_history_and_budget():
+def test_fresh_shapes_memo_ignores_history_and_budget(bare_search):
     # Units are charged in full at each use of a memoized shape list, so a
     # warm cache neither saves budget nor changes a result.
     instances = json.loads(POOL_FILE.read_text())["instances"]
@@ -464,6 +511,120 @@ def test_fresh_shapes_memo_ignores_history_and_budget():
         with pytest.raises(lattice.ResourceBudgetExceeded):
             lattice.enumerate_embeddings(chains, rank, budget=budget - 1)
         assert lattice.enumerate_embeddings(chains, rank, budget=budget) == expected
+
+
+# ---------------------------------------------------------------------------
+# The rational test in front of corank-one searches: a Hasse invariant -1 of
+# the chains' positive form plus <det> proves that nothing embeds.
+# ---------------------------------------------------------------------------
+
+def _is_rational_square(q):
+    q = Fraction(q)
+    return q >= 0 and all(math.isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
+
+
+def _ldl_pivots(gram):
+    """Diagonal of the LDL elimination of the positive definite -gram, in
+    rationals, rows in order."""
+    m = [[Fraction(-x) for x in row] for row in gram]
+    pivots = []
+    for k in range(len(m)):
+        pivots.append(m[k][k])
+        for i in range(k + 1, len(m)):
+            factor = m[i][k] / m[k][k]
+            for j in range(k, len(m)):
+                m[i][j] -= factor * m[k][j]
+    return pivots
+
+
+_drawn_chains = st.lists(st.lists(st.integers(-16, -2), min_size=1, max_size=6),
+                         min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drawn_chains)
+def test_continuant_pivots_match_a_rational_elimination(chains):
+    pairs, det = lattice._pivots(chains)
+    exact_pivots = _ldl_pivots(lattice.chain_gram(chains))
+    assert len(pairs) == len(exact_pivots) and det == math.prod(exact_pivots)
+    for k, ((prefix, pivot), d) in enumerate(zip(pairs, exact_pivots)):
+        assert _is_rational_square(pivot * d)
+        assert _is_rational_square(prefix * math.prod(exact_pivots[:k]))
+
+
+@st.composite
+def _corank_one_chains(draw, ranks, weights):
+    rank = draw(st.integers(*ranks))
+    # rank - 1 vertices cut into one to three chains.
+    cuts = [0, *sorted(draw(st.sets(st.integers(1, rank - 2), max_size=2))), rank - 1]
+    chains = [draw(st.lists(st.integers(*weights), min_size=b - a, max_size=b - a))
+              for a, b in zip(cuts, cuts[1:])]
+    return chains, rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(_corank_one_chains((3, 4), (-10, -2)))
+def test_refuted_chains_have_no_brute_force_orbit(instance):
+    chains, rank = instance
+    assume(not lattice._rationally_embeds(chains))
+    assert _brute_force_orbits(chains, rank) == set()
+    assert lattice.enumerate_embeddings(chains, rank, budget=0) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(_corank_one_chains((5, 7), (-7, -2)))
+def test_refuted_chains_have_no_naive_orbit(instance):
+    chains, rank = instance
+    assume(not lattice._rationally_embeds(chains))
+    assert _naive_orbits(chains, rank) == {}
+    assert lattice.enumerate_embeddings(chains, rank, budget=0) == []
+
+
+def _settled_unsearched(chains, rank):
+    """True if the search returns [] at budget 0, False if it must search."""
+    try:
+        assert lattice.enumerate_embeddings(chains, rank, budget=0) == []
+    except lattice.ResourceBudgetExceeded:
+        return False
+    return True
+
+
+def test_rational_test_refutes_eight_pool_instances():
+    instances = json.loads(POOL_FILE.read_text())["instances"]
+    refuted = [inst for inst in instances if _settled_unsearched(inst["chains"], inst["rank"])]
+    assert len(refuted) == 8 and all(inst["orbits"] == 0 for inst in refuted)
+    # The one pool instance without an embedding that the test leaves to the search.
+    assert [inst["chains"] for inst in instances if inst["orbits"] == 0 and inst not in refuted] \
+        == [[[-4, -2, -2, -2, -2, -2, -3, -6]]]
+
+
+def test_rational_test_refutes_every_empty_donaldson_search(classified):
+    searches = {}
+    for index in (1, 2, 3):
+        for report in classified(index).candidates:
+            evidence = report.verdict("donaldson").evidence
+            if "orbits" in evidence:
+                key = (tuple(map(tuple, evidence["chains"])), evidence["ambient_rank"])
+                searches[key] = bool(evidence["orbits"])
+    assert len(searches) == 130 and sum(not found for found in searches.values()) == 74
+    for (chains, rank), found in searches.items():
+        assert _settled_unsearched(chains, rank) is not found, chains
+
+
+def test_rational_test_applies_at_corank_one_only():
+    # The two BUDGET_LOCK instances without an embedding are refuted in rank 8
+    # at any budget; one more coordinate and the search runs, and spends.
+    for chains in ([[-11, -2, -2, -2], [-2, -2, -3]], [[-2, -2, -12, -2, -2], [-3, -3]]):
+        assert lattice.enumerate_embeddings(chains, 8, budget=0) == []
+        with pytest.raises(lattice.ResourceBudgetExceeded):
+            lattice.enumerate_embeddings(chains, 9, budget=0)
+    # The five that embed pass the test, and their search spends as before.
+    passed = [(chains, rank, budget) for chains, rank, budget in BUDGET_LOCK
+              if lattice._rationally_embeds(chains)]
+    assert len(passed) == 5
+    for chains, rank, budget in passed:
+        with pytest.raises(lattice.ResourceBudgetExceeded):
+            lattice.enumerate_embeddings(chains, rank, budget=budget - 1)
 
 
 def test_orbit_representatives_are_inequivalent():
@@ -533,6 +694,10 @@ def test_input_validation():
         lattice.enumerate_embeddings([["-2", -2]], 3)
     with pytest.raises(TypeError):
         lattice.enumerate_embeddings([[-2, -2]], 3.7)
+    # No chains at all: the empty assignment, at corank one as elsewhere.
+    for rank in (0, 1, 3):
+        assert lattice.enumerate_embeddings([], rank, budget=0) == \
+            [lattice.PlumbingEmbedding((), rank)]
 
 
 def test_deterministic_output():
