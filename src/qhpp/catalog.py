@@ -18,6 +18,7 @@ singularity multiset per line as whitespace-separated species tokens ("K5",
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from importlib import resources
@@ -29,6 +30,7 @@ __all__ = [
     "TabulatedLink",
     "H1",
     "SingularityType",
+    "SPECIES",
     "lookup",
     "parse_token",
     "parse_multiset",
@@ -124,12 +126,7 @@ class SingularityType(NamedTuple):
 
     @property
     def name(self) -> str:
-        if self.species in ("A", "D", "E", "K"):
-            return f"{self.species}{self.n}"
-        if self.species in ("A1(1)", "A1(2)"):
-            return self.species
-        letter, suffix = self.species[0], self.species[1:]
-        return f"{letter}{self.n}{suffix}"
+        return f"{self.species[0]}{self.n}{self.species[1:]}"
 
     def sort_key(self):
         letter = self.species[0]
@@ -145,99 +142,72 @@ class SingularityType(NamedTuple):
         return self.name
 
 
-def _cyclic_index3(species: str, n: int, p: int, q: int, dp: Fraction) -> SingularityType:
-    # Cyclic quotient: local group is cyclic of order p, the link order.
-    return SingularityType(
-        species=species, n=n, index=3, det_r=p, group_order=p,
-        curve_count=n if species.startswith("A(") else 1,
-        known_dp_square=dp, h1_link=H1("cyclic", p), link=LensLink(p, q),
-    )
+def _lens(pq, dp: Fraction):
+    """Member n of a lens-space species with link L(p, q) = L(*pq(n)): it has
+    n curves, and its determinant, group order and H_1 order all equal p."""
+    def member(n):
+        p, q = pq(n)
+        return p, p, n, dp, H1("cyclic", p), LensLink(p, q)
+    return member
+
+
+def _d_index3(r: int, dp: Fraction):
+    """Member n of D(r): H_1 of order 12, cyclic for odd n.  The local group
+    order is not tabulated, as no screening formula reads it."""
+    return lambda n: (12, None, n, dp if n >= 5 else None,
+                      H1("cyclic" if n % 2 else "Z6+Z2", 12), TabulatedLink(f"D{n}({r})"))
+
+
+# The species table: key -> (index, least n, greatest n or None, member),
+# where member(n) gives (det_r, group_order, curve_count, known_dp_square,
+# h1_link, link).  A key is its token with the number removed ("A4" -> "A",
+# "A2(1,2)" -> "A(1,2)", "A1(1)" -> "A(1)"), and member n has n curves.
+SPECIES = {
+    "A": (1, 1, None, _lens(lambda n: (n + 1, n), Fraction(0))),
+    "D": (1, 4, None, lambda n: (4, 4 * (n - 2), n, Fraction(0),
+                                 H1("cyclic" if n % 2 else "Z2+Z2", 4),
+                                 TrefoilSurgeryLink(-4) if n == 5 else TabulatedLink(f"D{n}"))),
+    "E": (1, 6, 8, lambda n: (9 - n, {6: 24, 7: 48, 8: 120}[n], n, Fraction(0),
+                              H1("cyclic", 9 - n), TrefoilSurgeryLink(n - 9))),
+    "K": (2, 1, None, _lens(lambda n: (4 * n, 2 * n - 1), Fraction(-1))),
+    "A(1)": (3, 1, 1, _lens(lambda n: (3, 1), Fraction(-1, 3))),
+    "A(2)": (3, 1, 1, _lens(lambda n: (6, 1), Fraction(-8, 3))),
+    "A(1,1)": (3, 3, None, _lens(lambda n: (9 * n - 15, 6 * n - 11), Fraction(-4, 3))),
+    "A(1,2)": (3, 2, None, _lens(lambda n: (9 * n - 9, 6 * n - 7), Fraction(-2))),
+    "A(2,2)": (3, 2, None, _lens(lambda n: (9 * n - 3, 3 * n - 2), Fraction(-8, 3))),
+    "D(1)": (3, 4, None, _d_index3(1, Fraction(-2, 3))),
+    "D(2)": (3, 4, None, _d_index3(2, Fraction(-4, 3))),
+}
 
 
 def lookup(species: str, n: int) -> SingularityType:
-    """The fully populated invariant record for one singularity species."""
-    if species == "A":
-        if n < 1:
-            raise ValueError(f"A{n}: need n >= 1")
-        return SingularityType("A", n, 1, n + 1, n + 1, n, Fraction(0),
-                               H1("cyclic", n + 1), LensLink(n + 1, n))
-    if species == "D":
-        if n < 4:
-            raise ValueError(f"D{n}: need n >= 4")
-        h1 = H1("Z2+Z2", 4) if n % 2 == 0 else H1("cyclic", 4)
-        link = TrefoilSurgeryLink(-4) if n == 5 else TabulatedLink(f"D{n}")
-        return SingularityType("D", n, 1, 4, 4 * (n - 2), n, Fraction(0), h1, link)
-    if species == "E":
-        if n not in (6, 7, 8):
-            raise ValueError(f"E{n}: need n in (6, 7, 8)")
-        group = {6: 24, 7: 48, 8: 120}[n]
-        return SingularityType("E", n, 1, 9 - n, group, n, Fraction(0),
-                               H1("cyclic", 9 - n), TrefoilSurgeryLink(n - 9))
-    if species == "K":
-        if n < 1:
-            raise ValueError(f"K{n}: need n >= 1")
-        return SingularityType("K", n, 2, 4 * n, 4 * n, n, Fraction(-1),
-                               H1("cyclic", 4 * n), LensLink(4 * n, 2 * n - 1))
-    if species == "A1(1)":
-        if n != 1:
-            raise ValueError("A1(1) has no parameter other than 1")
-        return _cyclic_index3(species, 1, 3, 1, Fraction(-1, 3))
-    if species == "A1(2)":
-        if n != 1:
-            raise ValueError("A1(2) has no parameter other than 1")
-        return _cyclic_index3(species, 1, 6, 1, Fraction(-8, 3))
-    if species == "A(1,1)":
-        if n < 3:
-            raise ValueError(f"A{n}(1,1): need n >= 3")
-        return _cyclic_index3(species, n, 9 * n - 15, 6 * n - 11, Fraction(-4, 3))
-    if species == "A(1,2)":
-        if n < 2:
-            raise ValueError(f"A{n}(1,2): need n >= 2")
-        return _cyclic_index3(species, n, 9 * n - 9, 6 * n - 7, Fraction(-2))
-    if species == "A(2,2)":
-        if n < 2:
-            raise ValueError(f"A{n}(2,2): need n >= 2")
-        return _cyclic_index3(species, n, 9 * n - 3, 3 * n - 2, Fraction(-8, 3))
-    if species in ("D(1)", "D(2)"):
-        if n < 4:
-            raise ValueError(f"D{n}{species[1:]}: need n >= 4")
-        h1 = H1("Z6+Z2", 12) if n % 2 == 0 else H1("cyclic", 12)
-        dp = None
-        if n >= 5:
-            dp = Fraction(-2, 3) if species == "D(1)" else Fraction(-4, 3)
-        # Local group order for these non-cyclic species is not consumed by
-        # any screening formula and is not tabulated here.
-        return SingularityType(species, n, 3, 12, None, n, dp, h1,
-                               TabulatedLink(f"D{n}({species[2]})"))
-    raise ValueError(f"unknown species {species!r}")
+    """The fully populated invariant record for one singularity species.
+    Raises TypeError if n is not an integer."""
+    n = operator.index(n)
+    if species not in SPECIES:
+        raise ValueError(f"unknown species {species!r}")
+    index, least, greatest, member = SPECIES[species]
+    if not least <= n <= (n if greatest is None else greatest):
+        bound = (f"n >= {least}" if greatest is None
+                 else f"n in ({', '.join(map(str, range(least, greatest + 1)))})")
+        raise ValueError(f"{species[0]}{n}{species[1:]}: need {bound}")
+    return SingularityType(species, n, index, *member(n))
 
 
 # --------------------------------------------------------------------------
 # Token parsing ("A4", "K5", "A2(1,2)", "D5(2)", "A1(1)")
 # --------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"^([ADEK])(\d+)(?:\((\d(?:,\d)?)\))?$")
+_TOKEN_RE = re.compile(r"^([ADEK])(\d+)(\(\d(?:,\d)?\))?$")
 
 
 def parse_token(token: str) -> SingularityType:
     """Parse one species token such as 'A4', 'K5', 'A2(1,2)' or 'D5(2)'."""
     m = _TOKEN_RE.match(token.strip())
-    if not m:
+    species = m and m[1] + (m[3] or "")
+    if species not in SPECIES:
         raise ValueError(f"unrecognized singularity token {token!r}")
-    letter, n, args = m.group(1), int(m.group(2)), m.group(3)
-    if args is None:
-        return lookup(letter, n)
-    if args in ("1", "2"):
-        if letter == "A":
-            if n != 1:
-                raise ValueError(f"unrecognized singularity token {token!r}")
-            return lookup(f"A1({args})", 1)
-        if letter == "D":
-            return lookup(f"D({args})", n)
-        raise ValueError(f"unrecognized singularity token {token!r}")
-    if letter == "A" and args in ("1,1", "1,2", "2,2"):
-        return lookup(f"A({args})", n)
-    raise ValueError(f"unrecognized singularity token {token!r}")
+    return lookup(species, int(m[2]))
 
 
 def parse_multiset(line: str) -> tuple[SingularityType, ...]:

@@ -185,9 +185,9 @@ def _cmd_embed(args) -> int:
     chains = _parse_graphs(args.graphs)
     # No vector of norm w uses more than w coordinates, so the search runs in
     # at most the rank sum(|w|); the zero coordinates it leaves out never
-    # print.  Corank one is kept, since its complement needs the full rank.
+    # print.
     vertices = sum(map(len, chains))
-    rank = min(args.ambient, max(sum(abs(w) for chain in chains for w in chain), vertices + 1))
+    rank = min(args.ambient, sum(abs(w) for chain in chains for w in chain))
     try:
         embeddings = lattice.enumerate_embeddings(chains, rank, budget=args.budget)
     except ValueError as exc:

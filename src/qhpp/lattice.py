@@ -473,6 +473,13 @@ def _donaldson_verdict(config: Configuration, search) -> ObstructionVerdict:
             note="test applies only to configurations of lens-space links",
         )
     chains = [plumbing_for_reversed_link(t) for t in config.members]
+    heavy = [t.name for t, c in zip(config.members, chains) if min(c) < -MAX_WEIGHT_MAGNITUDE]
+    if heavy:
+        return ObstructionVerdict(
+            name, Outcome.NOT_APPLICABLE,
+            {"heavy_members": heavy, "weight_bound": MAX_WEIGHT_MAGNITUDE},
+            note=f"a plumbing weight exceeds the search bound {MAX_WEIGHT_MAGNITUDE}",
+        )
     rank = sum(map(len, chains)) + 1
     target = -config.h1_product
     orbits = [{"vectors": [list(v) for v in emb.vectors],

@@ -107,16 +107,16 @@ def linking_obstruction(config: Configuration) -> ObstructionVerdict:
     form (N), N the product of the link homology orders, so its boundary
     carries the form (-1/N).  The boundary is also the sum of the reversed
     links, whose composed form c/N must therefore satisfy -c = u^2 (mod N)
-    for a unit u.  Members whose links have non-cyclic H_1 must be screened
-    out before this test; members with cyclic H_1 but untabulated linking
-    form yield NOT_APPLICABLE.
+    for a unit u.  The test needs cyclic boundary homology: a member with
+    non-cyclic H_1, orders that are not pairwise coprime, or a member with
+    untabulated linking form yields NOT_APPLICABLE.
     """
     name = "linking_form"
-    for t in config.members:
-        if not t.h1_link.is_cyclic:
-            raise ValueError(
-                f"{t.name} has non-cyclic link homology; screen it out before "
-                "applying the linking-form test")
+    if not (config.dets_pairwise_coprime()
+            and all(t.h1_link.is_cyclic for t in config.members)):
+        return ObstructionVerdict(
+            name, Outcome.NOT_APPLICABLE, {},
+            note="boundary homology is not cyclic; test precondition fails")
     forms = []
     for t in config.members:
         f = reversed_link_form(t)

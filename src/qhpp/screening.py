@@ -43,23 +43,15 @@ __all__ = [
     "replay_verdict",
 ]
 
-# The non-Gorenstein families as (case, species, values of n): the K family
-# of index two (case None), then the six index-three cases.  Case 4 pools
-# the A1(2) species with the A(2,2) family: both carry the same
-# canonical-square correction.  D(1) and D(2) take odd n only, since even n
-# gives non-cyclic link homology.  No member has more than 11 curves, as
-# L < 9 - dp_square <= 9 + 8/3.
-_FAMILIES = (
-    (None, "K", range(1, 12)),
-    (1, "A1(1)", (1,)),
-    (2, "A(1,1)", range(3, 12)),
-    (3, "A(1,2)", range(2, 12)),
-    (4, "A1(2)", (1,)),
-    (4, "A(2,2)", range(2, 12)),
-    (5, "D(1)", range(5, 12, 2)),
-    (6, "D(2)", range(5, 12, 2)),
-)
-_CASE_OF_SPECIES = {species: case for case, species, _ in _FAMILIES}
+# The non-Gorenstein families as (case, species): the K family of index two
+# (case None), then the six index-three cases.  Case 4 pools the A1(2)
+# species with the A(2,2) family: both carry the same canonical-square
+# correction.  No member has more than 11 curves, as L < 9 - dp_square <=
+# 9 + 8/3.
+_FAMILIES = ((None, "K"), (1, "A(1)"), (2, "A(1,1)"), (3, "A(1,2)"),
+             (4, "A(2)"), (4, "A(2,2)"), (5, "D(1)"), (6, "D(2)"))
+_MAX_BASE_CURVES = 11
+_CASE_OF_SPECIES = {species: case for case, species in _FAMILIES}
 
 
 def _l_max(dp_total: Fraction) -> int:
@@ -68,16 +60,19 @@ def _l_max(dp_total: Fraction) -> int:
     return int(bound) - 1 if bound.denominator == 1 else math.floor(bound)
 
 
-def _gorenstein_pool(curve_budget: int) -> list[SingularityType]:
-    """Rational double points with cyclic link homology fitting the budget.
+def _cyclic_members(species: str, curve_bound: int) -> list[SingularityType]:
+    """The members of a species with at most ``curve_bound`` curves (member
+    n has n) whose link has cyclic H_1, which the boundary cyclicity
+    constraint requires: this drops D_n, D_n(1) and D_n(2) with even n."""
+    _, least, greatest, _ = catalog.SPECIES[species]
+    top = curve_bound if greatest is None else min(greatest, curve_bound)
+    members = (catalog.lookup(species, n) for n in range(least, top + 1))
+    return [t for t in members if t.h1_link.is_cyclic]
 
-    D_n with even n is dropped here: its link has H_1 = Z/2 + Z/2, which the
-    boundary cyclicity constraint forbids outright.
-    """
-    pool = [catalog.lookup("A", m) for m in range(1, curve_budget + 1)]
-    pool += [catalog.lookup("D", m) for m in range(5, curve_budget + 1, 2)]
-    pool += [catalog.lookup("E", m) for m in (6, 7, 8) if m <= curve_budget]
-    return pool
+
+def _gorenstein_pool(curve_budget: int) -> list[SingularityType]:
+    """Rational double points with cyclic link homology fitting the budget."""
+    return [t for species in "ADE" for t in _cyclic_members(species, curve_budget)]
 
 
 def _coprime(a: int, b: int) -> bool:
@@ -131,7 +126,7 @@ def enumerate_candidates(index: int) -> tuple[Configuration, ...]:
     # Index two has exactly one K: two K's have determinants 4n and 4m with
     # common factor 4.  Each index-three case is sorted on its own.
     cases: dict[int | None, list[Configuration]] = {}
-    for case, species, ns in _FAMILIES:
+    for case, species in _FAMILIES:
         if (case is None) != (index == 2):  # a family of the other index
             continue
         # Case-4 generation screens coprimality against the index-three
@@ -140,8 +135,7 @@ def enumerate_candidates(index: int) -> tuple[Configuration, ...]:
         # diagonalization filters.
         base_rule = _coprime_away_from_6 if case == 4 else _coprime
         out = cases.setdefault(case, [])
-        for n in ns:
-            base = catalog.lookup(species, n)
+        for base in _cyclic_members(species, _MAX_BASE_CURVES):
             lmax = _l_max(base.dp_square)
             if base.curve_count <= lmax:
                 out.extend(_extend_base(base, lmax - base.curve_count, base_rule))
@@ -194,6 +188,10 @@ def arithmetic_filter(config: Configuration) -> ObstructionVerdict:
     """K^2 times the product of link homology orders must be a nonzero
     perfect square."""
     name = "arithmetic"
+    unknown = [t.name for t in config.members if t.known_dp_square is None]
+    if unknown:
+        return ObstructionVerdict(name, Outcome.NOT_APPLICABLE, {"unknown_dp_square": unknown},
+                                  note="canonical-square correction unavailable")
     d = config.D
     evidence = {"K2": str(config.K2), "D": str(d)}
     if d <= 0:
@@ -211,20 +209,20 @@ def arithmetic_filter(config: Configuration) -> ObstructionVerdict:
     return ObstructionVerdict(name, Outcome.PASS, evidence)
 
 
-def bmy_filter(config: Configuration,
-               anti_ample_impossible: bool | None) -> ObstructionVerdict:
+def bmy_filter(config: Configuration) -> ObstructionVerdict:
     """Orbifold Bogomolov-Miyaoka-Yau test, K^2 <= 3 e_orb.
 
     Only applies when the canonical class is known to be ample, i.e. when
     K^2 > 0 and imported classification data rules out an anti-ample
-    canonical class.  Pass ``None`` when no such data exists for the index.
+    canonical class.  Such data exists for index two only: the index-two
+    log del Pezzo list.
     """
     name = "bmy"
-    if anti_ample_impossible is None:
+    if config.index != 2:
         return ObstructionVerdict(
             name, Outcome.NOT_APPLICABLE, {},
             note="no imported data constrains the sign of the canonical class")
-    if not anti_ample_impossible:
+    if config.key() in _index2_log_del_pezzo():
         return ObstructionVerdict(
             name, Outcome.PASS, {"anti_ample_possible": True},
             note="an anti-ample canonical class is not excluded")
@@ -246,12 +244,6 @@ def _index2_log_del_pezzo() -> frozenset:
     return frozenset(Configuration.of(ms).key() for ms in catalog.LOG_DEL_PEZZO_INDEX2_18)
 
 
-def _anti_ample_impossible(config: Configuration) -> bool | None:
-    if config.index != 2:
-        return None
-    return config.key() not in _index2_log_del_pezzo()
-
-
 def _donaldson(config: Configuration, budget: int) -> ObstructionVerdict:
     from . import lattice
     return lattice.donaldson_obstruction(config, budget=budget)
@@ -263,11 +255,6 @@ def _rebuild_donaldson(config: Configuration, evidence) -> ObstructionVerdict:
 
 
 def _linking_form(config: Configuration, budget: int) -> ObstructionVerdict:
-    if not (config.dets_pairwise_coprime()
-            and all(t.h1_link.is_cyclic for t in config.members)):
-        return ObstructionVerdict(
-            "linking_form", Outcome.NOT_APPLICABLE, {},
-            note="boundary homology is not cyclic; test precondition fails")
     from . import linking
     return linking.linking_obstruction(config)
 
@@ -301,7 +288,7 @@ def _rerun(name: str, run) -> Filter:
 FILTERS = (
     _rerun("cyclic_h1", lambda config, budget: cyclic_h1_filter(config)),
     _rerun("arithmetic", lambda config, budget: arithmetic_filter(config)),
-    _rerun("bmy", lambda config, budget: bmy_filter(config, _anti_ample_impossible(config))),
+    _rerun("bmy", lambda config, budget: bmy_filter(config)),
     Filter("donaldson", _donaldson, _rebuild_donaldson),
     _rerun("linking_form", _linking_form),
     _rerun("spin_sum", _spin_sum),

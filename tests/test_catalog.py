@@ -33,7 +33,7 @@ def test_lookup_a22_n6():
 def test_lookup_errors():
     for species, n in [("D", 3), ("E", 5), ("E", 9), ("A", 0), ("K", 0),
                        ("A(1,1)", 2), ("A(1,2)", 1), ("A(2,2)", 1),
-                       ("D(1)", 3), ("A1(1)", 2)]:
+                       ("D(1)", 3), ("A(1)", 2)]:
         with pytest.raises(ValueError):
             catalog.lookup(species, n)
     with pytest.raises(ValueError):
@@ -59,8 +59,8 @@ def test_gorenstein_invariants():
 
 
 def test_index3_links_match_table():
-    assert catalog.lookup("A1(1)", 1).link == LensLink(3, 1)
-    assert catalog.lookup("A1(2)", 1).link == LensLink(6, 1)
+    assert catalog.lookup("A(1)", 1).link == LensLink(3, 1)
+    assert catalog.lookup("A(2)", 1).link == LensLink(6, 1)
     assert catalog.lookup("A(1,2)", 2).link == LensLink(9, 5)
     assert catalog.lookup("A(1,1)", 3).link == LensLink(12, 7)
     for n in range(3, 12):
@@ -71,8 +71,8 @@ def test_index3_links_match_table():
 
 
 def test_index3_dp_squares():
-    assert catalog.lookup("A1(1)", 1).dp_square == Fraction(-1, 3)
-    assert catalog.lookup("A1(2)", 1).dp_square == Fraction(-8, 3)
+    assert catalog.lookup("A(1)", 1).dp_square == Fraction(-1, 3)
+    assert catalog.lookup("A(2)", 1).dp_square == Fraction(-8, 3)
     for n in range(3, 10):
         assert catalog.lookup("A(1,1)", n).dp_square == Fraction(-4, 3)
     for n in range(2, 10):
@@ -109,7 +109,7 @@ def test_curve_count_matches_resolution_graph_length():
     # must equal the expansion length.
     instances = [catalog.lookup("A", n) for n in range(1, 15)]
     instances += [catalog.lookup("K", n) for n in range(1, 12)]
-    instances += [catalog.lookup("A1(1)", 1), catalog.lookup("A1(2)", 1)]
+    instances += [catalog.lookup("A(1)", 1), catalog.lookup("A(2)", 1)]
     instances += [catalog.lookup("A(1,1)", n) for n in range(3, 13)]
     instances += [catalog.lookup("A(1,2)", n) for n in range(2, 13)]
     instances += [catalog.lookup("A(2,2)", n) for n in range(2, 13)]
@@ -165,6 +165,27 @@ def test_token_round_trip():
         t = catalog.parse_token(token)
         assert t.name == token
         assert catalog.parse_token(t.name) == t
+
+
+def test_species_table_round_trips_every_member():
+    # Each species' members parse back from their names, from the least n
+    # to the greatest (or 12 past the least); n outside that range raises.
+    for species, (_, least, greatest, _) in catalog.SPECIES.items():
+        top = least + 12 if greatest is None else greatest
+        for n in range(least, top + 1):
+            t = catalog.lookup(species, n)
+            assert (t.species, t.n) == (species, n)
+            assert catalog.parse_token(t.name) == t
+        outside = [least - 1] + ([] if greatest is None else [greatest + 1])
+        for n in outside:
+            with pytest.raises(ValueError):
+                catalog.lookup(species, n)
+            with pytest.raises(ValueError):
+                catalog.parse_token(f"{species[0]}{n}{species[1:]}")
+    # n is read through operator.index, so a float is refused, not built into
+    # a record such as "A2.5" with link L(3.5, 2.5).
+    with pytest.raises(TypeError):
+        catalog.lookup("A", 2.5)
 
 
 def test_parse_token_rejects_garbage():

@@ -119,7 +119,7 @@ def test_spin_d_invariants_by_species():
     assert floer.spin_d_invariants(catalog.lookup("E", 7)) == {F(7, 4), F(1, 4)}
     assert floer.spin_d_invariants(catalog.lookup("E", 6)) == {F(3, 2)}
     assert floer.spin_d_invariants(catalog.lookup("A", 2)) == {F(1, 2)}
-    assert floer.spin_d_invariants(catalog.lookup("A1(1)", 1)) == {F(-1, 2)}
+    assert floer.spin_d_invariants(catalog.lookup("A(1)", 1)) == {F(-1, 2)}
     assert floer.spin_d_invariants(catalog.lookup("D", 9)) == {F(9, 4), F(5, 4)}
     assert floer.spin_d_invariants(catalog.lookup("D(2)", 9)) == {F(5, 4), F(9, 4)}
 

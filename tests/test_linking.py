@@ -132,8 +132,13 @@ def test_linking_obstruction_unknown_form_is_not_applicable():
 
 
 def test_linking_obstruction_rejects_non_cyclic_members():
-    with pytest.raises(ValueError):
-        linking.linking_obstruction(_config("D8"))
+    # Non-cyclic link homology, or orders that share a factor, leave the
+    # boundary homology non-cyclic, and the test does not apply.
+    for tokens in ["D8", "A1 A3"]:
+        verdict = linking.linking_obstruction(_config(tokens))
+        assert verdict.outcome is Outcome.NOT_APPLICABLE, tokens
+        assert verdict.evidence == {}
+        assert verdict.note == "boundary homology is not cyclic; test precondition fails"
 
 
 def test_reversed_link_forms():

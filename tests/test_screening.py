@@ -37,7 +37,7 @@ def test_index3_case_counts():
 
 def test_index3_case_round_trip():
     # The index-three species of each case, as the paper's case split lists them.
-    species = {1: {"A1(1)"}, 2: {"A(1,1)"}, 3: {"A(1,2)"}, 4: {"A1(2)", "A(2,2)"},
+    species = {1: {"A(1)"}, 2: {"A(1,1)"}, 3: {"A(1,2)"}, 4: {"A(2)", "A(2,2)"},
                5: {"D(1)"}, 6: {"D(2)"}}
     for case, names in species.items():
         configs = screening.enumerate_index3_case(case)
@@ -123,21 +123,37 @@ def test_arithmetic_filter_examples():
 
 
 def test_bmy_filter():
-    k2 = Configuration.from_tokens("K2")
-    v = screening.bmy_filter(k2, anti_ample_impossible=True)
+    # K2 is index two and not a log del Pezzo surface, so K is ample.
+    v = screening.bmy_filter(Configuration.from_tokens("K2"))
     assert v.outcome is Outcome.OBSTRUCTED
     assert Fraction(v.evidence["three_e_orb"]) == F(51, 8)
-    k5 = Configuration.from_tokens("K5")
-    v = screening.bmy_filter(k5, anti_ample_impossible=False)
+    v = screening.bmy_filter(Configuration.from_tokens("K5"))
     assert v.outcome is Outcome.PASS
     # K1 A4 violates the inequality but an anti-ample canonical class is
     # allowed for it, so it passes overall.
     k1a4 = Configuration.from_tokens("K1 A4")
     assert k1a4.K2 > 3 * k1a4.e_orb
-    v = screening.bmy_filter(k1a4, anti_ample_impossible=False)
+    v = screening.bmy_filter(k1a4)
     assert v.outcome is Outcome.PASS
-    v = screening.bmy_filter(k1a4, anti_ample_impossible=None)
+    assert v.evidence == {"anti_ample_possible": True}
+    # No imported data constrains the canonical class outside index two.
+    v = screening.bmy_filter(Configuration.from_tokens("A4"))
     assert v.outcome is Outcome.NOT_APPLICABLE
+
+
+def test_screen_gives_a_verdict_on_every_valid_token():
+    # D4(1) and D4(2) have no canonical-square correction; A16, K20 and
+    # A20(1,1) have a plumbing weight beyond the search bound.  Each filter
+    # answers, and each answer replays.
+    for tokens, filter_name in [("D4(1)", "arithmetic"), ("D4(2)", "arithmetic"),
+                                ("A16", "donaldson"), ("K20", "donaldson"),
+                                ("A20(1,1)", "donaldson")]:
+        config = Configuration.from_tokens(tokens)
+        verdicts = screening.screen(config)
+        assert [v.filter for v in verdicts] == list(screening.FILTER_ORDER)
+        outcomes = {v.filter: v.outcome for v in verdicts}
+        assert outcomes[filter_name] is Outcome.NOT_APPLICABLE, tokens
+        assert all(screening.replay_verdict(config, v) for v in verdicts), tokens
 
 
 def test_bmy_eliminates_only_k2_among_square_d_candidates(classified):
