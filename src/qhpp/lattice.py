@@ -35,7 +35,8 @@ every orbit is reached.  A state's rows are its parent's and one more, so the
 column table its walk reads is the parent's extended by that row.
 ``canonical_form`` is applied once, to each finished embedding, after its
 rows are put back in vertex order.  The orthogonal complement of an
-embedding is computed in integers.
+embedding is computed in integers, by forward elimination on a pivot of
+absolute value 1 wherever the column has one and back-substitution.
 
 One unit of the extension budget is one candidate value tried for one
 coordinate of a new vector.  The coordinate walk keeps the count in a local
@@ -51,8 +52,9 @@ equal rank and determinant are rationally isometric if and only if their
 Hasse invariants agree at every prime (Serre, "A Course in Arithmetic", 1973,
 Ch. III-IV), and the unit form's are all 1.  A -1 at 2 or at a small prime
 dividing a continuant of the chains proves that nothing embeds: the search
-returns [] unstarted, spends no budget, and otherwise runs as without the
-test.  A prime left untried can only miss a refutation, never make one.
+returns [] unstarted, before the Gram matrix is built, spends no budget, and
+otherwise runs as without the test.  A prime left untried can only miss a
+refutation, never make one.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from math import isqrt
-from operator import index, mul
+from operator import index, mul, neg
 from typing import NamedTuple
 
 from .catalog import LensLink, SingularityType
@@ -95,9 +97,6 @@ class PlumbingEmbedding(NamedTuple):
     """One orbit representative: rows are vertex vectors in input order."""
     vectors: tuple[tuple[int, ...], ...]
     ambient_rank: int
-
-    def gram_matrix(self) -> list[list[int]]:
-        return [[-_dot(a, b) for b in self.vectors] for a in self.vectors]
 
 
 class ComplementWitness(NamedTuple):
@@ -160,7 +159,7 @@ def vectors_of_norm(norm: int, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def canonical_form(rows, rank: int) -> tuple[tuple[int, ...], ...]:
+def canonical_form(rows) -> tuple[tuple[int, ...], ...]:
     """Canonical representative of a vertex-indexed assignment under signed
     permutations of the ambient coordinates.
 
@@ -170,19 +169,11 @@ def canonical_form(rows, rank: int) -> tuple[tuple[int, ...], ...]:
     a total invariant of the orbit.  Unused coordinates come last, so the
     coordinates a canonical assignment uses are a prefix.
     """
-    nrows = len(rows)
-    cols = []
-    for c in range(rank):
-        col = [rows[r][c] for r in range(nrows)]
-        for entry in col:
-            if entry > 0:
-                break
-            if entry < 0:
-                col = [-x for x in col]
-                break
-        cols.append(tuple(col))
+    # A column is sign-normalized exactly when it is not below the zero column.
+    zero = (0,) * len(rows)
+    cols = [col if col >= zero else tuple(map(neg, col)) for col in zip(*rows)]
     cols.sort(reverse=True)
-    return tuple(tuple(cols[c][r] for c in range(rank)) for r in range(nrows))
+    return tuple(zip(*cols))
 
 
 # The odd primes the rational test tries; continuants (up to 16^n) are never factored.
@@ -193,11 +184,16 @@ def _rationally_embeds(chains) -> bool:
     """False if -chain_gram(chains) + <det> has a Hasse invariant -1 at 2 or at
     a prime in _SMALL_ODD_PRIMES, which refutes every corank-one embedding."""
     pairs, det = _pivots(chains)
-    primes = [2] + [p for p in _SMALL_ODD_PRIMES if any(pivot % p == 0 for _, pivot in pairs)]
     # On the diagonal (pivots, det) the invariant, the product of (a_i, a_j)_p
-    # over i < j, is that of (earlier pivots, pivot)_p times (det, det)_p.
-    return all(math.prod(hilbert_symbol(*pair, p) for pair in pairs)
-               == hilbert_symbol(det, -1, p) for p in primes)
+    # over i < j, is that of (earlier pivots, pivot)_p times (det, det)_p.  At
+    # an odd p, (a, b)_p = 1 unless p divides a or b, and every prime of det
+    # divides a pivot, so only the pairs p divides count.
+    for p in (2,) + _SMALL_ODD_PRIMES:
+        touched = pairs if p == 2 else [(a, b) for a, b in pairs if not a % p or not b % p]
+        if touched and (math.prod(hilbert_symbol(a, b, p) for a, b in touched)
+                        != hilbert_symbol(det, -1, p)):
+            return False
+    return True
 
 
 def _pivots(chains) -> tuple[list[tuple[int, int]], int]:
@@ -213,6 +209,12 @@ def _pivots(chains) -> tuple[list[tuple[int, int]], int]:
             pairs.append((prefix * before, minor * before))
         prefix *= minor
     return pairs, prefix
+
+
+def _realizes(rows, gram) -> bool:
+    """True if the rows in -Z^N have Gram matrix ``gram``, by its lower triangle."""
+    return len(rows) == len(gram) and all(
+        -_dot(a, b) == g for i, a in enumerate(rows) for b, g in zip(rows[:i + 1], gram[i]))
 
 
 def _over_budget(budget: int) -> ResourceBudgetExceeded:
@@ -351,16 +353,16 @@ def enumerate_embeddings(lattices, ambient_rank: int,
     """
     chains = _normalize_chains(lattices)
     ambient_rank = index(ambient_rank)
-    gram = chain_gram(chains)
-    total = len(gram)
+    total = sum(map(len, chains))
     if total > ambient_rank:
         raise ValueError(
             f"{total} vertices cannot embed independently in rank {ambient_rank}")
     if ambient_rank == total + 1 and not _rationally_embeds(chains):
         return []
+    gram = chain_gram(chains)
     # No vector of norm w uses more than w coordinates, so the search runs in
     # this rank and the rows are padded with zeros, which sort last.
-    rank = min(ambient_rank, -sum(gram[k][k] for k in range(total)))
+    rank = min(ambient_rank, -sum(map(sum, chains)))
 
     # Lightest weights first; the sort is stable, so ties keep vertex order.
     # A -2 vertex has one fresh shape, (1, 1), so the early levels stay
@@ -400,11 +402,9 @@ def enumerate_embeddings(lattices, ambient_rank: int,
     inverse = [0] * total
     for pos, k in enumerate(order):
         inverse[k] = pos
-    results = sorted(canonical_form(tuple(placed[inverse[k]] for k in range(total)), rank)
+    results = sorted(canonical_form(tuple(placed[inverse[k]] for k in range(total)))
                      for placed, _, _ in states)
-    # Both sides are symmetric: the lower triangle on the unpadded rows suffices.
-    if any(-_dot(a, b) != g for rows in results for i, a in enumerate(rows)
-           for b, g in zip(rows[:i + 1], gram[i])):
+    if not all(_realizes(rows, gram) for rows in results):
         raise AssertionError("embedding fails its Gram constraints")
     pad = (0,) * (ambient_rank - rank)
     return [PlumbingEmbedding(tuple(row + pad for row in rows), ambient_rank)
@@ -414,44 +414,49 @@ def enumerate_embeddings(lattices, ambient_rank: int,
 def complement_witness(emb: PlumbingEmbedding) -> ComplementWitness:
     """Primitive generator of the orthogonal complement of a corank-one
     embedding, normalized so its first nonzero coordinate is positive."""
-    rank = emb.ambient_rank
-    rows = [list(v) for v in emb.vectors]
+    rank, rows = emb.ambient_rank, emb.vectors
     if len(rows) != rank - 1:
         raise ValueError(
             f"complement is not rank one: {len(rows)} vectors in rank {rank}")
-    # Fraction-free Gauss-Jordan elimination in integers: a row is cleared
-    # by scaling it with the pivot and is then divided by its gcd.  The
-    # kernel of the vector matrix is the orthogonal complement since the
-    # ambient form is minus the dot product.
-    pivots: list[int] = []
+    # Forward elimination in integers: the kernel of the vector matrix is the
+    # orthogonal complement, as the ambient form is minus the dot product.  A
+    # column's pivot has absolute value 1 when it can (most entries are +-1);
+    # a pivot p clears an entry a as (p/g) row - (a/g) top, g = gcd(p, a).
+    echelon, free = [], []
     for c in range(rank):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
+        live, rest = [], []
+        for row in rows:
+            (live if row[c] else rest).append(row)
+        if not live:
+            free.append(c)
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                scaled = [top[c] * a - row[c] * b for a, b in zip(row, top)]
-                g = math.gcd(*scaled) or 1
-                rows[i] = [a // g for a in scaled]
-        pivots.append(c)
-    if len(pivots) < len(rows):
+        top, rows = live[0], rest
+        if top[c] not in (1, -1):
+            top = next((row for row in live if row[c] in (1, -1)), top)
+        p = top[c]
+        live.remove(top)
+        for row in live:
+            a = row[c]
+            if p in (1, -1):
+                a *= p
+                rows.append([x - a * y for x, y in zip(row, top)])
+            else:
+                g = math.gcd(p, a)
+                rows.append([p // g * x - a // g * y for x, y in zip(row, top)])
+        echelon.append((c, top))
+    if len(echelon) < rank - 1:
         raise ValueError("embedding vectors are linearly dependent")
-    free = [c for c in range(rank) if c not in pivots]
-    if len(free) != 1:
-        raise AssertionError(f"complement has {len(free)} free columns, not one")
-    f = free[0]
-    # Each row now reads d * x[pivot] + a * x[f] = 0; x[f] = lcm of the d
-    # makes every coordinate integral.
-    scale = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
+    # Back-substitution from the last pivot, the free coordinate set to 1: where
+    # a pivot d does not divide the rest s of its row, all is scaled by |d|/gcd(s, d).
     sol = [0] * rank
-    sol[f] = scale
-    for row, c in zip(rows, pivots):
-        sol[c] = -row[f] * scale // row[c]
+    sol[free[0]] = 1
+    for c, row in reversed(echelon):
+        s, d = _dot(row, sol), row[c]
+        if s % d:
+            m = abs(d) // math.gcd(s, d)
+            sol = [m * x for x in sol]
+            s *= m
+        sol[c] = -s // d
     g = math.gcd(*sol)
     if next(x for x in sol if x) < 0:
         g = -g
@@ -543,8 +548,8 @@ def rebuild_donaldson(config: Configuration, evidence) -> ObstructionVerdict:
         for orbit in evidence["orbits"]:
             emb = PlumbingEmbedding(tuple(map(tuple, orbit["vectors"])), rank)
             gen = tuple(orbit["complement"])
-            if (any(len(v) != rank for v in emb.vectors) or emb.gram_matrix() != gram
-                    or canonical_form(emb.vectors, rank) != emb.vectors
+            if (any(len(v) != rank for v in emb.vectors) or not _realizes(emb.vectors, gram)
+                    or canonical_form(emb.vectors) != emb.vectors
                     or (pairs and pairs[-1][0].vectors >= emb.vectors)
                     or len(gen) != rank or math.gcd(*gen) != 1
                     or next(x for x in gen if x) < 0

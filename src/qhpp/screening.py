@@ -70,9 +70,11 @@ def _cyclic_members(species: str, curve_bound: int) -> list[SingularityType]:
     return [t for t in members if t.h1_link.is_cyclic]
 
 
-def _gorenstein_pool(curve_budget: int) -> list[SingularityType]:
-    """Rational double points with cyclic link homology fitting the budget."""
-    return [t for species in "ADE" for t in _cyclic_members(species, curve_budget)]
+@lru_cache(maxsize=None)
+def _gorenstein_pool(curve_budget: int) -> tuple[SingularityType, ...]:
+    """Rational double points with cyclic link homology fitting the budget,
+    built once per budget."""
+    return tuple(t for species in "ADE" for t in _cyclic_members(species, curve_budget))
 
 
 def _coprime(a: int, b: int) -> bool:

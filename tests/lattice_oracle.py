@@ -16,10 +16,16 @@ scan of the cube and from a recursive generator.
 ``column_table`` builds the search's per-state column table from scratch,
 one column at a time from the last, as the search did before it carried each
 state's table over from its parent.
+
+``untrimmed_hasse_test`` is the corank-one rational test as the search ran it
+before it skipped the pairs of pivots a prime does not divide: every pair's
+Hilbert symbol at every prime it tries.
 """
 
 import itertools
 import math
+
+from qhpp.exact import hilbert_symbol
 
 
 def signed_permutations(rank):
@@ -197,3 +203,13 @@ def column_table(rows, used):
         table[c] = (tuple(closing), c > 0 and col == cols[c - 1], tuple(entries),
                     touched, opened, after)
     return table
+
+
+def untrimmed_hasse_test(pairs, det, odd_primes):
+    """False if the diagonal form with pivots ``pairs`` (each pivot after the
+    product of the earlier ones, as ``qhpp.lattice._pivots`` gives them) plus
+    <det> has a Hasse invariant -1 at 2 or at a prime of ``odd_primes`` that
+    divides a pivot.  The symbols of all pairs are multiplied at each prime."""
+    primes = [2] + [p for p in odd_primes if any(pivot % p == 0 for _, pivot in pairs)]
+    return all(math.prod(hilbert_symbol(*pair, p) for pair in pairs)
+               == hilbert_symbol(det, -1, p) for p in primes)

@@ -71,10 +71,17 @@ def test_embedding_instances(name, chains, rank, squares):
     assert got == sorted(squares)
 
 
+def _gram(vectors):
+    """The Gram matrix of the vectors in -Z^N."""
+    return [[-sum(map(mul, a, b)) for b in vectors] for a in vectors]
+
+
 def test_gram_constraints_hold_post_hoc():
     for _, chains, rank, _ in EMBEDDING_INSTANCES:
         verts = [(ci, pi, w) for ci, ch in enumerate(chains) for pi, w in enumerate(ch)]
         for emb in lattice.enumerate_embeddings(chains, rank):
+            gram = _gram(emb.vectors)
+            assert gram == lattice.chain_gram(chains)
             for i, (ci, pi, wi) in enumerate(verts):
                 for j, (cj, pj, wj) in enumerate(verts):
                     if i == j:
@@ -83,7 +90,7 @@ def test_gram_constraints_hold_post_hoc():
                         expected = 1
                     else:
                         expected = 0
-                    assert emb.gram_matrix()[i][j] == expected
+                    assert gram[i][j] == expected
 
 
 def test_complement_witness_properties():
@@ -147,9 +154,11 @@ def test_complement_rejects_dependent_vectors():
 # partition under the signed-permutation group, with its own canonical form.
 # ---------------------------------------------------------------------------
 
+from lattice_oracle import act as _act
 from lattice_oracle import brute_force_orbits as _brute_force_orbits
 from lattice_oracle import complement_generator as _complement_generator
 from lattice_oracle import orbit_min as _orbit_min
+from lattice_oracle import signed_permutations as _signed_permutations
 
 ORACLE_INSTANCES = [
     ([[-9]], 2), ([[-8]], 2), ([[-5]], 2), ([[-2]], 2), ([[-4]], 2),
@@ -168,6 +177,35 @@ def test_enumerator_matches_brute_force_oracle(chains, rank):
     fast = {_orbit_min(e.vectors, rank)
             for e in lattice.enumerate_embeddings(chains, rank)}
     assert fast == oracle
+
+
+@st.composite
+def _small_matrices(draw):
+    """Up to 4 x 4 integer matrices with entries in -2..2, some columns zero."""
+    rank = draw(st.integers(1, 4))
+    zero = draw(st.sets(st.integers(0, rank - 1)))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank),
+                         min_size=1, max_size=4))
+    return tuple(tuple(0 if c in zero else x for c, x in enumerate(row)) for row in rows), rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_matrices(), _small_matrices())
+def test_canonical_form_matches_the_orbit_minimum(matrix, other):
+    rows, rank = matrix
+    form = lattice.canonical_form(rows)
+    # The form lies in the orbit and is the same for every matrix of it, so
+    # two matrices share it exactly when they share the orbit minimum.
+    assert _orbit_min(form, rank) == _orbit_min(rows, rank)
+    assert _column_key(form, rank) == _column_key(rows, rank)
+    assert {lattice.canonical_form(_act(g, rows)) for g in _signed_permutations(rank)} == {form}
+    other, other_rank = other
+    if other_rank == rank and len(other) == len(rows):
+        assert (lattice.canonical_form(other) == form) == \
+            (_orbit_min(other, rank) == _orbit_min(rows, rank))
+    # Zero columns sort last, so the used coordinates are a prefix.
+    used = sum(any(col) for col in zip(*rows))
+    assert not any(x for row in form for x in row[used:])
 
 
 @st.composite
@@ -206,6 +244,7 @@ def test_random_chains_match_brute_force_oracle_on_the_bare_search(instance):
 
 from lattice_oracle import column_key as _column_key
 from lattice_oracle import naive_orbits as _naive_orbits
+from lattice_oracle import untrimmed_hasse_test as _untrimmed_hasse_test
 
 POOL_FILE = Path(__file__).resolve().parents[1] / "bench" / "embed_pool.json"
 
@@ -283,19 +322,72 @@ def test_rank_8_to_10_orbit_counts(chains, rank, orbits):
     embeddings = lattice.enumerate_embeddings(chains, rank)
     assert len(embeddings) == orbits
     gram = lattice.chain_gram(chains)
-    assert all(e.gram_matrix() == gram for e in embeddings)
+    assert all(_gram(e.vectors) == gram for e in embeddings)
 
 
-def test_complement_witness_matches_minor_oracle():
-    searches = [(c, r) for _, c, r, _ in EMBEDDING_INSTANCES]
-    searches += [(c, r) for c, r, _ in RANK_8_TO_10_INSTANCES]
+def _donaldson_searches(classified):
+    """The distinct (chains, ambient rank) of the Donaldson searches of
+    indices 1-3."""
+    searches = {}
+    for index in (1, 2, 3):
+        for report in classified(index).candidates:
+            evidence = report.verdict("donaldson").evidence
+            if "orbits" in evidence:
+                searches[tuple(map(tuple, evidence["chains"])), evidence["ambient_rank"]] = None
+    return list(searches)
+
+
+def _witnesses_checked(searches):
     checked = 0
     for chains, rank in searches:
         for emb in lattice.enumerate_embeddings(chains, rank):
             assert lattice.complement_witness(emb).generator == \
                 _complement_generator(emb.vectors, rank)
             checked += 1
-    assert checked == 31
+    return checked
+
+
+def test_complement_witness_matches_minor_oracle(classified):
+    searches = [(c, r) for _, c, r, _ in EMBEDDING_INSTANCES]
+    searches += [(c, r) for c, r, _ in RANK_8_TO_10_INSTANCES]
+    assert _witnesses_checked(searches) == 31
+    searches = _donaldson_searches(classified)
+    assert len(searches) == 130 and _witnesses_checked(searches) == 127
+
+
+@st.composite
+def _corank_one_matrices(draw):
+    """n x (n + 1) integer matrices, n <= 6, entries in -3..3; in half the
+    draws no entry is +-1, so the first pivot is not a unit."""
+    n = draw(st.integers(1, 6))
+    entries = st.sampled_from((-3, -2, 0, 2, 3)) if draw(st.booleans()) else st.integers(-3, 3)
+    return draw(st.lists(st.lists(entries, min_size=n + 1, max_size=n + 1),
+                         min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corank_one_matrices())
+def test_complement_witness_matches_minor_oracle_on_random_matrices(rows):
+    rank = len(rows) + 1
+    want = _complement_generator(rows, rank)
+    assume(want is not None)
+    wit = lattice.complement_witness(lattice.PlumbingEmbedding(tuple(map(tuple, rows)), rank))
+    assert wit == (want, -sum(x * x for x in want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corank_one_matrices(), st.data())
+def test_complement_witness_rejects_random_dependent_rows(rows, data):
+    # One row replaced by an integer combination of the others (zero if
+    # there are none) leaves the rows dependent.
+    k = data.draw(st.integers(0, len(rows) - 1))
+    others = rows[:k] + rows[k + 1:]
+    factors = data.draw(st.lists(st.integers(-2, 2), min_size=len(others), max_size=len(others)))
+    rows[k] = [sum(f * row[c] for f, row in zip(factors, others)) for c in range(len(rows) + 1)]
+    assert _complement_generator(rows, len(rows) + 1) is None
+    with pytest.raises(ValueError, match="linearly dependent"):
+        lattice.complement_witness(
+            lattice.PlumbingEmbedding(tuple(map(tuple, rows)), len(rows) + 1))
 
 
 @pytest.mark.parametrize("index", [1, 2, 3])
@@ -578,6 +670,27 @@ def test_refuted_chains_have_no_naive_orbit(instance):
     assume(not lattice._rationally_embeds(chains))
     assert _naive_orbits(chains, rank) == {}
     assert lattice.enumerate_embeddings(chains, rank, budget=0) == []
+
+
+def _assert_trimmed_hasse_test_agrees(chains):
+    pairs, det = lattice._pivots(chains)
+    assert lattice._rationally_embeds(chains) is \
+        _untrimmed_hasse_test(pairs, det, lattice._SMALL_ODD_PRIMES), chains
+
+
+def test_trimmed_hasse_test_matches_the_untrimmed_one(classified):
+    chain_sets = {chains for chains, _ in _donaldson_searches(classified)}
+    chain_sets |= {tuple(map(tuple, inst["chains"]))
+                   for inst in json.loads(POOL_FILE.read_text())["instances"]}
+    assert len(chain_sets) == 148
+    for chains in chain_sets:
+        _assert_trimmed_hasse_test_agrees(chains)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drawn_chains)
+def test_trimmed_hasse_test_matches_the_untrimmed_one_on_random_chains(chains):
+    _assert_trimmed_hasse_test_agrees(chains)
 
 
 def _settled_unsearched(chains, rank):
