@@ -4,9 +4,10 @@ Each species record carries the numerical invariants consumed by the
 screening pipeline: the determinant of the exceptional sublattice (equal to
 the order of H_1 of the singularity link), the local group order, the number
 of exceptional curves in the minimal resolution, the canonical-square
-correction of the resolution, the isomorphism type of H_1 of the link, and a
-description of the link itself (a lens space, a surgery on the trefoil, or a
-named Seifert manifold with tabulated data).
+correction of the resolution, the isomorphism type of H_1 of the link, and
+the link: a lens space, a trefoil surgery, or a named Seifert manifold that
+carries its tabulated spin d-invariants.  Other modules branch on the kind
+of link, never on a species key.
 
 Classification theorems that this package *imports* rather than derives
 (the Gorenstein 58-type list, the Alexeev-Nikulin index-two log del Pezzo
@@ -28,7 +29,6 @@ __all__ = [
     "LensLink",
     "TrefoilSurgeryLink",
     "TabulatedLink",
-    "H1",
     "SingularityType",
     "SPECIES",
     "lookup",
@@ -46,7 +46,7 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# Link and H1 descriptors
+# Link descriptors
 # --------------------------------------------------------------------------
 
 class LensLink(NamedTuple):
@@ -67,32 +67,16 @@ class TrefoilSurgeryLink(NamedTuple):
 
 
 class TabulatedLink(NamedTuple):
-    """A Seifert-fibered link known only through tabulated invariants."""
+    """A Seifert-fibered link known only through tabulated invariants: its
+    d-invariants at the spin structures, or None where none are tabulated."""
     name: str
+    spin_d: frozenset[Fraction] | None
 
     def __str__(self):
         return self.name
 
 
 Link = LensLink | TrefoilSurgeryLink | TabulatedLink
-
-
-class H1(NamedTuple):
-    """Isomorphism type of H_1 of a singularity link.
-
-    ``kind`` is "cyclic", "Z2+Z2", or "Z6+Z2"; ``order`` is the group order.
-    """
-    kind: str
-    order: int
-
-    @property
-    def is_cyclic(self) -> bool:
-        return self.kind == "cyclic"
-
-    def __str__(self):
-        if self.kind == "cyclic":
-            return f"Z{self.order}" if self.order > 1 else "0"
-        return self.kind
 
 
 # --------------------------------------------------------------------------
@@ -110,7 +94,7 @@ class SingularityType(NamedTuple):
     group_order: int | None
     curve_count: int
     known_dp_square: Fraction | None
-    h1_link: H1
+    h1_kind: str  # H_1 of the link: "cyclic", "Z2+Z2" or "Z6+Z2"; its order is det_r
     link: Link
 
     @property
@@ -144,39 +128,42 @@ class SingularityType(NamedTuple):
 
 def _lens(pq, dp: Fraction):
     """Member n of a lens-space species with link L(p, q) = L(*pq(n)): it has
-    n curves, and its determinant, group order and H_1 order all equal p."""
+    n curves, cyclic H_1, and its determinant and group order equal p."""
     def member(n):
         p, q = pq(n)
-        return p, p, n, dp, H1("cyclic", p), LensLink(p, q)
+        return p, p, n, dp, "cyclic", LensLink(p, q)
     return member
 
 
-def _d_index3(r: int, dp: Fraction):
-    """Member n of D(r): H_1 of order 12, cyclic for odd n.  The local group
-    order is not tabulated, as no screening formula reads it."""
-    return lambda n: (12, None, n, dp if n >= 5 else None,
-                      H1("cyclic" if n % 2 else "Z6+Z2", 12), TabulatedLink(f"D{n}({r})"))
+def _d_index3(r: int, dp: Fraction, spin_d: dict):
+    """Member n of D(r): H_1 of order 12, cyclic for odd n; spin d-invariants
+    spin_d[n] where tabulated, and no group order (no screening formula reads it)."""
+    return lambda n: (12, None, n, dp if n >= 5 else None, "cyclic" if n % 2 else "Z6+Z2",
+                      TabulatedLink(f"D{n}({r})", spin_d.get(n)))
 
 
 # The species table: key -> (index, least n, greatest n or None, member),
 # where member(n) gives (det_r, group_order, curve_count, known_dp_square,
-# h1_link, link).  A key is its token with the number removed ("A4" -> "A",
+# h1_kind, link).  A key is its token with the number removed ("A4" -> "A",
 # "A2(1,2)" -> "A(1,2)", "A1(1)" -> "A(1)"), and member n has n curves.
 SPECIES = {
     "A": (1, 1, None, _lens(lambda n: (n + 1, n), Fraction(0))),
-    "D": (1, 4, None, lambda n: (4, 4 * (n - 2), n, Fraction(0),
-                                 H1("cyclic" if n % 2 else "Z2+Z2", 4),
-                                 TrefoilSurgeryLink(-4) if n == 5 else TabulatedLink(f"D{n}"))),
-    "E": (1, 6, 8, lambda n: (9 - n, {6: 24, 7: 48, 8: 120}[n], n, Fraction(0),
-                              H1("cyclic", 9 - n), TrefoilSurgeryLink(n - 9))),
+    "D": (1, 4, None, lambda n: (4, 4 * (n - 2), n, Fraction(0), "cyclic" if n % 2 else "Z2+Z2",
+                                 TrefoilSurgeryLink(-4) if n == 5 else TabulatedLink(
+                                     f"D{n}", frozenset({Fraction(n, 4), Fraction(n - 4, 4)})))),
+    "E": (1, 6, 8, lambda n: (9 - n, {6: 24, 7: 48, 8: 120}[n], n, Fraction(0), "cyclic",
+                              TrefoilSurgeryLink(n - 9))),
     "K": (2, 1, None, _lens(lambda n: (4 * n, 2 * n - 1), Fraction(-1))),
     "A(1)": (3, 1, 1, _lens(lambda n: (3, 1), Fraction(-1, 3))),
     "A(2)": (3, 1, 1, _lens(lambda n: (6, 1), Fraction(-8, 3))),
     "A(1,1)": (3, 3, None, _lens(lambda n: (9 * n - 15, 6 * n - 11), Fraction(-4, 3))),
     "A(1,2)": (3, 2, None, _lens(lambda n: (9 * n - 9, 6 * n - 7), Fraction(-2))),
     "A(2,2)": (3, 2, None, _lens(lambda n: (9 * n - 3, 3 * n - 2), Fraction(-8, 3))),
-    "D(1)": (3, 4, None, _d_index3(1, Fraction(-2, 3))),
-    "D(2)": (3, 4, None, _d_index3(2, Fraction(-4, 3))),
+    "D(1)": (3, 4, None, _d_index3(1, Fraction(-2, 3), {})),
+    # The reversed link of D9(2) is the Seifert manifold (-1; 1/2, 1/2, 3/19)
+    # with spin d-invariants -5/4 and -9/4; negated back to the link itself.
+    "D(2)": (3, 4, None, _d_index3(2, Fraction(-4, 3),
+                                   {9: frozenset({Fraction(5, 4), Fraction(9, 4)})})),
 }
 
 

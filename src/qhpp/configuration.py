@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from . import catalog
+from . import catalog, exact
 from .catalog import SingularityType
 
 __all__ = [
@@ -174,9 +174,7 @@ class Configuration(Record):
         return total
 
     def dets_pairwise_coprime(self) -> bool:
-        dets = [t.det_r for t in self.members]
-        return all(math.gcd(a, b) == 1
-                   for i, a in enumerate(dets) for b in dets[i + 1:])
+        return exact.first_shared_factor([t.det_r for t in self.members]) is None
 
     def key(self) -> tuple:
         """Hashable multiset identity, independent of formatting."""

@@ -16,6 +16,7 @@ __all__ = [
     "hj_expand",
     "hj_value",
     "is_perfect_square",
+    "first_shared_factor",
     "unit_squares_mod",
     "hilbert_symbol",
     "factorize",
@@ -68,6 +69,17 @@ def is_perfect_square(n: int) -> bool:
         raise ValueError(f"need n >= 1, got {n}")
     r = math.isqrt(n)
     return r * r == n
+
+
+def first_shared_factor(values) -> tuple[int, int, int] | None:
+    """The first pair of positions i < j of a sequence whose values share a
+    factor, as (i, j, gcd); None when the values are pairwise coprime."""
+    for i, a in enumerate(values):
+        for j in range(i + 1, len(values)):
+            g = math.gcd(a, values[j])
+            if g != 1:
+                return i, j, g
+    return None
 
 
 def unit_squares_mod(n: int) -> frozenset[int]:

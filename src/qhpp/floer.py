@@ -87,27 +87,19 @@ def v_trefoil(s: int) -> int:
     return 1 if s == 0 else 0
 
 
-def d_trefoil_surgery(p: int, q: int, i: int) -> Fraction:
-    """d-invariant of p/q surgery on the right-handed trefoil at label i."""
-    if p < 1 or q < 1 or math.gcd(p, q) != 1:
-        raise ValueError(f"invalid surgery coefficient {p}/{q}")
+def d_trefoil_surgery(p: int, i: int) -> Fraction:
+    """d-invariant of integral p surgery on the right-handed trefoil at label
+    i, read off L(p, 1), the p surgery on the unknot."""
+    if p < 1:
+        raise ValueError(f"invalid surgery coefficient {p}")
     if not 0 <= i < p:
-        raise ValueError(f"spin-c label {i} out of range for {p}/{q} surgery")
-    vmax = max(v_trefoil(i // q), v_trefoil((p + q + 1 - i) // q))
-    return -d_lens(p, q % p, i) - 2 * vmax
+        raise ValueError(f"spin-c label {i} out of range for {p} surgery")
+    return -d_lens(p, 1 % p, i) - 2 * max(v_trefoil(i), v_trefoil(p - i))
 
 
-def trefoil_surgery_d_invariants(p: int, q: int = 1) -> tuple[Fraction, ...]:
-    """All p/q-surgery d-invariants, indexed by spin-c label 0..p-1."""
-    return tuple(d_trefoil_surgery(p, q, i) for i in range(p))
-
-
-def _surgery_spin_labels(k: int) -> frozenset[int]:
-    # Self-conjugate labels of an integral k-surgery: 2i = 0 (mod k).
-    labels = {0}
-    if k % 2 == 0:
-        labels.add(k // 2)
-    return frozenset(labels)
+def trefoil_surgery_d_invariants(p: int) -> tuple[Fraction, ...]:
+    """All p-surgery d-invariants, indexed by spin-c label 0..p-1."""
+    return tuple(d_trefoil_surgery(p, i) for i in range(p))
 
 
 def link_d_invariants(t: SingularityType) -> tuple[Fraction, ...]:
@@ -124,28 +116,20 @@ def link_d_invariants(t: SingularityType) -> tuple[Fraction, ...]:
 
 
 def spin_d_invariants(t: SingularityType) -> frozenset[Fraction]:
-    """d-invariants of the link of t at its spin structures.
-
-    Lens links are computed from the recursion; D-type and the one needed
-    non-cyclic index-three link carry tabulated values.  For the remaining
-    non-cyclic index-three species the data is unavailable and a
-    SpinDataUnavailable error is raised (never an empty set).
-    """
-    if t.species == "D":
-        return frozenset({Fraction(t.n, 4), Fraction(t.n - 4, 4)})
-    if t.species == "D(2)" and t.n == 9:
-        # The reversed link is the Seifert manifold (-1; 1/2, 1/2, 3/19) with
-        # spin d-invariants -5/4 and -9/4; negate back to the link itself.
-        return frozenset({Fraction(5, 4), Fraction(9, 4)})
-    if t.species in ("D(1)", "D(2)"):
-        raise SpinDataUnavailable(f"spin d-invariants of {t.name} are not tabulated")
+    """d-invariants of the link of t at its spin structures, by the kind of
+    link: a lens space from the recursion, a trefoil k-surgery from the
+    surgery formula at the spin labels of L(k, 1), whose spin-c labels it
+    shares, and a tabulated link from its table entry, raising
+    SpinDataUnavailable (never an empty set) where it has none."""
     link = t.link
     if isinstance(link, LensLink):
         return lens_spin_d_invariants(link.p, link.q)
     if isinstance(link, TrefoilSurgeryLink):
         k = -link.framing
-        return frozenset(-d_trefoil_surgery(k, 1, i) for i in _surgery_spin_labels(k))
-    raise SpinDataUnavailable(f"spin d-invariants of {link} are not tabulated")
+        return frozenset(-d_trefoil_surgery(k, i) for i in spin_labels(k, 1 % k))
+    if link.spin_d is None:
+        raise SpinDataUnavailable(f"spin d-invariants of {link} are not tabulated")
+    return link.spin_d
 
 
 def spin_sum_obstruction(config: Configuration) -> ObstructionVerdict:

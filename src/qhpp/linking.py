@@ -81,10 +81,10 @@ def connected_sum_form(forms) -> CyclicLinkingForm:
     generator (1, ..., 1) of the product group."""
     forms = list(forms)
     orders = [f.order for f in forms]
-    for i, a in enumerate(orders):
-        for b in orders[i + 1:]:
-            if math.gcd(a, b) != 1:
-                raise ValueError(f"orders {a} and {b} are not coprime")
+    pair = exact.first_shared_factor(orders)
+    if pair is not None:
+        i, j, _ = pair
+        raise ValueError(f"orders {orders[i]} and {orders[j]} are not coprime")
     total = math.prod(orders)
     value = sum(f.value * (total // f.order) for f in forms) % total
     return CyclicLinkingForm(total, value)
@@ -113,7 +113,7 @@ def linking_obstruction(config: Configuration) -> ObstructionVerdict:
     """
     name = "linking_form"
     if not (config.dets_pairwise_coprime()
-            and all(t.h1_link.is_cyclic for t in config.members)):
+            and all(t.h1_kind == "cyclic" for t in config.members)):
         return ObstructionVerdict(
             name, Outcome.NOT_APPLICABLE, {},
             note="boundary homology is not cyclic; test precondition fails")

@@ -67,7 +67,7 @@ def _cyclic_members(species: str, curve_bound: int) -> list[SingularityType]:
     _, least, greatest, _ = catalog.SPECIES[species]
     top = curve_bound if greatest is None else min(greatest, curve_bound)
     members = (catalog.lookup(species, n) for n in range(least, top + 1))
-    return [t for t in members if t.h1_link.is_cyclic]
+    return [t for t in members if t.h1_kind == "cyclic"]
 
 
 @lru_cache(maxsize=None)
@@ -102,8 +102,7 @@ def _extend_base(base: SingularityType, curve_budget: int,
         for extras in combinations_with_replacement(pool, size):
             if sum(t.curve_count for t in extras) > curve_budget:
                 continue
-            dets = [t.det_r for t in extras]
-            if any(not _coprime(a, b) for i, a in enumerate(dets) for b in dets[i + 1:]):
+            if exact.first_shared_factor([t.det_r for t in extras]) is not None:
                 continue
             out.append(Configuration.of((base,) + extras))
     return out
@@ -164,25 +163,22 @@ def cyclic_h1_filter(config: Configuration) -> ObstructionVerdict:
     """H_1 of the boundary must be cyclic: every link's H_1 cyclic and the
     orders pairwise coprime."""
     name = "cyclic_h1"
-    non_cyclic = [t.name for t in config.members if not t.h1_link.is_cyclic]
+    non_cyclic = [t for t in config.members if t.h1_kind != "cyclic"]
     if non_cyclic:
         return ObstructionVerdict(
             name, Outcome.OBSTRUCTED,
-            {"non_cyclic": non_cyclic,
-             "h1": {t.name: str(t.h1_link) for t in config.members
-                    if not t.h1_link.is_cyclic}},
+            {"non_cyclic": [t.name for t in non_cyclic],
+             "h1": {t.name: t.h1_kind for t in non_cyclic}},
             note="link homology is not cyclic",
         )
-    members = config.members
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            g = math.gcd(a.det_r, b.det_r)
-            if g != 1:
-                return ObstructionVerdict(
-                    name, Outcome.OBSTRUCTED,
-                    {"non_coprime": [a.name, b.name], "gcd": g},
-                    note=f"|H1| of {a.name} and {b.name} share the factor {g}",
-                )
+    pair = exact.first_shared_factor([t.det_r for t in config.members])
+    if pair is not None:
+        i, j, g = pair
+        a, b = config.members[i].name, config.members[j].name
+        return ObstructionVerdict(
+            name, Outcome.OBSTRUCTED, {"non_coprime": [a, b], "gcd": g},
+            note=f"|H1| of {a} and {b} share the factor {g}",
+        )
     return ObstructionVerdict(name, Outcome.PASS, {"h1_product": config.h1_product})
 
 
@@ -228,11 +224,7 @@ def bmy_filter(config: Configuration) -> ObstructionVerdict:
         return ObstructionVerdict(
             name, Outcome.PASS, {"anti_ample_possible": True},
             note="an anti-ample canonical class is not excluded")
-    e_orb = config.e_orb
-    if e_orb is None:
-        return ObstructionVerdict(
-            name, Outcome.NOT_APPLICABLE, {},
-            note="orbifold Euler characteristic unavailable")
+    e_orb = config.e_orb  # defined: every member of index <= 2 has a group order
     evidence = {"K2": str(config.K2), "three_e_orb": str(3 * e_orb)}
     if config.K2 > 3 * e_orb:
         return ObstructionVerdict(

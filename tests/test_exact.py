@@ -63,6 +63,14 @@ def test_is_perfect_square():
         assert exact.is_perfect_square(n) == (n in squares)
 
 
+def test_first_shared_factor():
+    assert exact.first_shared_factor([]) is None
+    assert exact.first_shared_factor([4, 9, 25, 7]) is None
+    assert exact.first_shared_factor([5, 6, 9]) == (1, 2, 3)
+    # The first pair in (i, j) order, not the one that closes first.
+    assert exact.first_shared_factor([2, 3, 3, 2]) == (0, 3, 2)
+
+
 def test_is_square_unit_mod_known_values():
     assert 7 not in exact.unit_squares_mod(12)
     assert 29 not in exact.unit_squares_mod(36)

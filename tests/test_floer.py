@@ -105,12 +105,29 @@ def test_link_d_invariants_en():
 
 
 def test_d5_link_two_routes_agree():
-    # The D5 link is also the -4 surgery on the left trefoil; the tabulated
-    # spin values must match the surgery-formula computation.
+    # The D5 link is the -4 surgery on the left trefoil; its spin values from
+    # the surgery formula must match the D-series closed form n/4, (n - 4)/4.
     surgery_values = [-d for d in floer.trefoil_surgery_d_invariants(4)]
     assert sorted(surgery_values) == [F(0), F(0), F(1, 4), F(5, 4)]
-    spin_subset = frozenset(-floer.d_trefoil_surgery(4, 1, i) for i in (0, 2))
-    assert spin_subset == floer.spin_d_invariants(catalog.lookup("D", 5))
+    spin_subset = frozenset(-floer.d_trefoil_surgery(4, i) for i in (0, 2))
+    assert spin_subset == floer.spin_d_invariants(catalog.lookup("D", 5)) == {F(5, 4), F(1, 4)}
+
+
+def test_d_family_spin_d_invariants():
+    # D_n has spin d-invariants n/4 and (n - 4)/4, tabulated on its link or,
+    # for D5, computed on its trefoil-surgery link.  Of the index-three
+    # D_n(r) only D9(2) is tabulated; the others raise, naming the link.
+    for n in range(4, 21):
+        assert floer.spin_d_invariants(catalog.lookup("D", n)) == {F(n, 4), F(n - 4, 4)}
+    for species in ("D(1)", "D(2)"):
+        for n in range(4, 16):
+            t = catalog.lookup(species, n)
+            if t.name == "D9(2)":
+                assert floer.spin_d_invariants(t) == {F(5, 4), F(9, 4)}
+                continue
+            with pytest.raises(floer.SpinDataUnavailable) as exc:
+                floer.spin_d_invariants(t)
+            assert str(exc.value) == f"spin d-invariants of {t.name} are not tabulated"
 
 
 def test_spin_d_invariants_by_species():

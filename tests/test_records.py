@@ -51,8 +51,7 @@ def _one_of_each_record():
     return [
         (catalog.LensLink(4, 1), "p"),
         (catalog.TrefoilSurgeryLink(-4), "framing"),
-        (catalog.TabulatedLink("D7"), "name"),
-        (catalog.H1("cyclic", 4), "order"),
+        (catalog.TabulatedLink("D7", frozenset({Fraction(7, 4), Fraction(3, 4)})), "spin_d"),
         (catalog.lookup("A(1,2)", 2), "known_dp_square"),
         (emb, "vectors"),
         (lattice.complement_witness(emb), "square"),
