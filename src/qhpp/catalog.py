@@ -22,7 +22,6 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from importlib import resources
 from typing import NamedTuple
 
 __all__ = [
@@ -225,6 +224,8 @@ def format_multiset(members) -> str:
 # --------------------------------------------------------------------------
 
 def _load_list(filename: str) -> tuple[tuple[SingularityType, ...], ...]:
+    # Imported here: the verbs that read no list do not pay for it at start-up.
+    from importlib import resources
     text = (resources.files(__package__) / "data" / filename).read_text()
     out = []
     for line in text.splitlines():

@@ -32,7 +32,10 @@ normalized, sorted among themselves and below every used column.  Since
 distinct partial orbits.  Conversely the first rows of a canonical form are
 a canonical form, and its last row is one of that state's extensions, so
 every orbit is reached.  A state's rows are its parent's and one more, so the
-column table its walk reads is the parent's extended by that row.
+column table its walk reads is the parent's extended by that row.  Most
+columns of the walk have one candidate value, forced by a row that closes
+there; such a column is resolved in place, without a node of its own, and
+each list of dot-product gaps belongs to one node of the walk.
 ``canonical_form`` is applied once, to each finished embedding, after its
 rows are put back in vertex order.  The orthogonal complement of an
 embedding is computed in integers, by forward elimination on a pivot of
@@ -270,48 +273,70 @@ def _used_parts(table, dots, norm: int, spent: int, budget: int):
     prefix is cut as soon as some required dot product is out of reach of the
     coordinates left: by Cauchy-Schwarz the rest of <u, p> is at most
     sqrt(remaining norm * |rest of p|^2).  At the last coordinate a row uses,
-    its dot product forces the value.  Each coordinate charges the values it
-    tries, and raises as soon as ``budget`` is passed.
+    its dot product forces the value; a coordinate with one candidate is
+    taken in place.  Each coordinate charges the values it tries, and raises
+    as soon as ``budget`` is passed.
     """
     last = len(table) - 1
     if last < 0:
         return [((), norm)], spent
     # A node is (column, head, remaining norm, gaps), gaps[j] being the part of
-    # dots[j] still to be made up.  Children are pushed largest value first, so they
-    # pop in the order a recursion visits them.
+    # dots[j] still to be made up; no two live nodes share a gaps list.  Children
+    # are pushed largest value first, so they pop in the order a recursion visits
+    # them, but the one child of a one-candidate column takes over its node.
     stack, leaves = [(0, (), norm, list(dots))], []
     push, leaf = stack.append, leaves.append
     while stack:
         c, head, rem, gaps = stack.pop()
-        closing, same, col, touched, opened, after = table[c]
-        emit = leaf if c == last else push
-        bound = isqrt(rem)
-        high = min(bound, head[-1]) if same else bound
-        low = -bound
-        for j, p in closing:
-            forced, r = divmod(gaps[j], p)
-            if r or not low <= forced <= high:
-                break
-            low = high = forced
-        else:
-            if low <= high:
-                spent += high - low + 1
-                if spent > budget:
-                    raise _over_budget(budget)
+        while c <= last:
+            closing, same, col, touched, opened, after = table[c]
+            if closing:
+                j, p = closing[0]
+                low = high = gaps[j] // p
+                if (low * p != gaps[j] or low * low > rem or same and low > head[-1]
+                        or len(closing) > 1 and any(gaps[j] != low * p for j, p in closing)):
+                    break
+            else:
+                bound = isqrt(rem)
+                low, high = -bound, min(bound, head[-1]) if same else bound
+                if low > high:
+                    break
+            spent += high - low + 1
+            if spent > budget:
+                raise _over_budget(budget)
             c += 1
-            for x in range(high, low - 1, -1):
-                left = rem - x * x
-                child, check = gaps, touched
-                if x:
-                    child, check = gaps[:], opened
-                    for j, p in col:
-                        child[j] -= x * p
-                for j in check:
-                    gap = child[j]
-                    if gap * gap > left * after[j]:
-                        break
-                else:
-                    emit((c, head + (x,), left, child))
+            if low < high:
+                emit = leaf if c > last else push
+                for x in range(high, low - 1, -1):
+                    left = rem - x * x
+                    child, check = gaps, touched
+                    if x:
+                        child, check = gaps[:], opened
+                        for j, p in col:
+                            child[j] -= x * p
+                    for j in check:
+                        gap = child[j]
+                        if gap * gap > left * after[j]:
+                            break
+                    else:
+                        emit((c, head + (x,), left, child))
+                break
+            # The one candidate goes on in place, on this node's own gaps.
+            rem -= low * low
+            check = opened if low else touched
+            if low:
+                for j, p in col:
+                    gaps[j] -= low * p
+            for j in check:
+                gap = gaps[j]
+                if gap * gap > rem * after[j]:
+                    break
+            else:
+                head += (low,)
+                continue
+            break
+        else:
+            leaf((c, head, rem, gaps))
     return [leaf[1:3] for leaf in leaves], spent
 
 

@@ -17,6 +17,11 @@ scan of the cube and from a recursive generator.
 one column at a time from the last, as the search did before it carried each
 state's table over from its parent.
 
+``reference_walk`` is the search's coordinate walk as it was before a
+column with one candidate value was resolved in place: every node, forced or
+not, is pushed to the stack and popped again, and every nonzero child copies
+its parent's gap list.
+
 ``untrimmed_hasse_test`` is the corank-one rational test as the search ran it
 before it skipped the pairs of pivots a prime does not divide: every pair's
 Hilbert symbol at every prime it tries.
@@ -24,6 +29,7 @@ Hilbert symbol at every prime it tries.
 
 import itertools
 import math
+from math import isqrt
 
 from qhpp.exact import hilbert_symbol
 
@@ -213,3 +219,57 @@ def untrimmed_hasse_test(pairs, det, odd_primes):
     primes = [2] + [p for p in odd_primes if any(pivot % p == 0 for _, pivot in pairs)]
     return all(math.prod(hilbert_symbol(*pair, p) for pair in pairs)
                == hilbert_symbol(det, -1, p) for p in primes)
+
+
+class WalkBudgetExceeded(Exception):
+    """Raised by ``reference_walk`` when it charges past its budget."""
+
+
+def _over_budget(budget):
+    return WalkBudgetExceeded(budget)
+
+
+def reference_walk(table, dots, norm, spent, budget):
+    """The pairs (u, norm - |u|^2) that ``qhpp.lattice._used_parts`` finds on
+    ``table``, in the order it finds them, and the units ``spent`` after
+    them; WalkBudgetExceeded where it raises.  Every node is a stack entry."""
+    last = len(table) - 1
+    if last < 0:
+        return [((), norm)], spent
+    # A node is (column, head, remaining norm, gaps), gaps[j] being the part of
+    # dots[j] still to be made up.  Children are pushed largest value first, so they
+    # pop in the order a recursion visits them.
+    stack, leaves = [(0, (), norm, list(dots))], []
+    push, leaf = stack.append, leaves.append
+    while stack:
+        c, head, rem, gaps = stack.pop()
+        closing, same, col, touched, opened, after = table[c]
+        emit = leaf if c == last else push
+        bound = isqrt(rem)
+        high = min(bound, head[-1]) if same else bound
+        low = -bound
+        for j, p in closing:
+            forced, r = divmod(gaps[j], p)
+            if r or not low <= forced <= high:
+                break
+            low = high = forced
+        else:
+            if low <= high:
+                spent += high - low + 1
+                if spent > budget:
+                    raise _over_budget(budget)
+            c += 1
+            for x in range(high, low - 1, -1):
+                left = rem - x * x
+                child, check = gaps, touched
+                if x:
+                    child, check = gaps[:], opened
+                    for j, p in col:
+                        child[j] -= x * p
+                for j in check:
+                    gap = child[j]
+                    if gap * gap > left * after[j]:
+                        break
+                else:
+                    emit((c, head + (x,), left, child))
+    return [leaf[1:3] for leaf in leaves], spent

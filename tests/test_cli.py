@@ -303,6 +303,11 @@ print(*sorted(set(sys.modules) - before))
 """
 
 
+# The commands that read no imported list, so load no importlib.resources.
+READS_NO_LIST = {"", "dinv --lens 4,1", "linkform --sum K1,E6",
+                 "embed --graphs -2,-10,-2 --ambient 4"}
+
+
 def test_each_verb_imports_only_its_modules():
     # Every cold start pays for what it imports, so a command loads only the
     # modules its verb runs, and none loads dataclasses, json or numpy.  The
@@ -316,6 +321,7 @@ def test_each_verb_imports_only_its_modules():
         assert {m for m in loaded if m.split(".")[0] == "qhpp"} == \
             base | {f"qhpp.{m}" for m in own}, command
         assert not loaded & {"dataclasses", "json", "numpy"}, command
+        assert command not in READS_NO_LIST or "importlib.resources" not in loaded, command
 
 
 _LOAD_LIST_PROBE = """

@@ -509,6 +509,75 @@ def test_walk_raises_as_soon_as_the_budget_is_spent():
         lattice._used_parts(table, [0], 16, 10_001 - cost, 10_000)
 
 
+from lattice_oracle import WalkBudgetExceeded as _WalkBudgetExceeded
+from lattice_oracle import reference_walk as _reference_walk
+
+
+def _compare_walks(walk, table, dots, norm, spent, budget):
+    """``walk``'s parts and spend on one state, after asserting that the
+    reference walk finds the same parts in the same order and spends the
+    same, or that both raise, and that ``dots`` comes back unchanged."""
+    before = list(dots)
+    try:
+        want = _reference_walk(table, before, norm, spent, budget)
+    except _WalkBudgetExceeded:
+        want = None
+    try:
+        got = walk(table, dots, norm, spent, budget)
+    except lattice.ResourceBudgetExceeded:
+        assert want is None and dots == before
+        raise
+    assert got == want and dots == before
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walk_states(), st.integers(0, 40))
+def test_walk_matches_the_reference_walk(state, budget):
+    # The same tree, walked in the same order: every part in place, the same
+    # spend, and a raise at the same budgets.
+    placed, used, dots, norm = state
+    table = _table(placed, used)
+    _compare_walks(lattice._used_parts, table, dots, norm, 0, 10**9)
+    with contextlib.suppress(lattice.ResourceBudgetExceeded):
+        _compare_walks(lattice._used_parts, table, dots, norm, 0, budget)
+
+
+def _walks_match_the_reference(chains, rank, budget=lattice.DEFAULT_BUDGET):
+    """Run one search with every coordinate walk it makes compared with the
+    reference walk.  Returns the number of walks compared."""
+    walk = lattice._used_parts
+    checked = 0
+
+    def compare(*state):
+        nonlocal checked
+        checked += 1
+        return _compare_walks(walk, *state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_used_parts", compare)
+        lattice.enumerate_embeddings(chains, rank, budget=budget)
+    return checked
+
+
+def test_walk_matches_the_reference_on_the_pool(bare_search):
+    instances = json.loads(POOL_FILE.read_text())["instances"]
+    checked = [_walks_match_the_reference(inst["chains"], inst["rank"]) for inst in instances]
+    assert len(checked) == 18 and all(checked)
+    # One unit short, both walks raise in the same walk of the search.
+    for inst, budget in zip(instances, POOL_BUDGETS):
+        with pytest.raises(lattice.ResourceBudgetExceeded):
+            _walks_match_the_reference(inst["chains"], inst["rank"], budget - 1)
+
+
+def test_walk_matches_the_reference_on_the_donaldson_searches(classified):
+    searches = _donaldson_searches(classified)
+    assert len(searches) == 130
+    with _bare_search():
+        checked = [_walks_match_the_reference(chains, rank) for chains, rank in searches]
+    assert all(checked)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_walk_states())
 def test_folded_table_equals_a_rebuild(state):
