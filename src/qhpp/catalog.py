@@ -12,7 +12,11 @@ of link, never on a species key.
 Classification theorems that this package *imports* rather than derives
 (the Gorenstein 58-type list, the Alexeev-Nikulin index-two log del Pezzo
 list, and the realizable-type lists) are stored as plain-text data files in
-``qhpp/data`` and parsed here, each on first use.  File format: one
+``qhpp/data``.  ``imported(name)`` parses ``qhpp/data/<name>.txt`` on first
+use and keeps it: "gorenstein_k_nontrivial" (27 types) and
+"gorenstein_k_trivial" (31) split the Gorenstein list by whether K is
+numerically trivial, "log_del_pezzo_index2" holds 18 types and
+"realizable_index<i>" the realizable types of index i.  File format: one
 singularity multiset per line as whitespace-separated species tokens ("K5",
 "A2(1,2)", "D5(2)", with repeats written out), ``#`` starting a comment.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 __all__ = [
@@ -34,13 +39,7 @@ __all__ = [
     "parse_token",
     "parse_multiset",
     "format_multiset",
-    "GORENSTEIN_K_NONTRIVIAL",
-    "GORENSTEIN_K_TRIVIAL",
-    "GORENSTEIN_58",
-    "LOG_DEL_PEZZO_INDEX2_18",
-    "REALIZABLE_INDEX1_7",
-    "REALIZABLE_INDEX2_4",
-    "REALIZABLE_INDEX3_16",
+    "imported",
 ]
 
 
@@ -223,33 +222,11 @@ def format_multiset(members) -> str:
 # Imported classification data
 # --------------------------------------------------------------------------
 
-def _load_list(filename: str) -> tuple[tuple[SingularityType, ...], ...]:
+@lru_cache(maxsize=None)
+def imported(name: str) -> tuple[tuple[SingularityType, ...], ...]:
+    """The imported list ``qhpp/data/<name>.txt``, parsed on first use."""
     # Imported here: the verbs that read no list do not pay for it at start-up.
     from importlib import resources
-    text = (resources.files(__package__) / "data" / filename).read_text()
-    out = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            out.append(parse_multiset(line))
-    return tuple(out)
-
-
-_LIST_FILES = {"GORENSTEIN_K_NONTRIVIAL": "gorenstein_k_nontrivial.txt",
-               "GORENSTEIN_K_TRIVIAL": "gorenstein_k_trivial.txt",
-               "LOG_DEL_PEZZO_INDEX2_18": "log_del_pezzo_index2.txt",
-               "REALIZABLE_INDEX1_7": "realizable_index1.txt",
-               "REALIZABLE_INDEX2_4": "realizable_index2.txt",
-               "REALIZABLE_INDEX3_16": "realizable_index3.txt"}
-
-
-def __getattr__(name):
-    """Each imported list, parsed on first use and then kept as a module global."""
-    if name == "GORENSTEIN_58":
-        value = __getattr__("GORENSTEIN_K_NONTRIVIAL") + __getattr__("GORENSTEIN_K_TRIVIAL")
-    elif name in _LIST_FILES:
-        value = _load_list(_LIST_FILES[name])
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
+    text = (resources.files(__package__) / "data" / f"{name}.txt").read_text()
+    lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return tuple(parse_multiset(line) for line in lines if line)

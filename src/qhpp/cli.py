@@ -105,7 +105,7 @@ def report_to_json(report: screening.ClassificationReport) -> dict:
 
 def report_to_markdown(report: screening.ClassificationReport) -> str:
     from . import screening
-    headers = _ROW_HEADERS + list(screening.FILTER_ORDER)
+    headers = _ROW_HEADERS + [f.name for f in screening.FILTERS]
     rows = [_row(r.config) + [_SHORT[v.outcome] for v in r.verdicts]
             for r in report.candidates]
     lines = [f"# Screening report, index {report.index}", ""]

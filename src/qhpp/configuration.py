@@ -80,24 +80,16 @@ class Outcome(Enum):
         return self.value
 
 
-_NO_EVIDENCE = object()
-
-
 class ObstructionVerdict(Record):
     """Outcome of one screening filter applied to one configuration.
 
     ``evidence`` is a JSON-serializable payload (fractions appear as strings)
-    sufficient to re-verify an OBSTRUCTED or PASS outcome standalone.  When
-    it is omitted each verdict gets a dict of its own; a value passed
-    explicitly, None included, is kept as given.  Equality and the hash
-    ignore the evidence.
+    sufficient to re-verify an OBSTRUCTED or PASS outcome standalone, kept
+    as given.  Equality and the hash ignore the evidence.
     """
     _fields = ("filter", "outcome", "evidence", "note")
 
-    def __init__(self, filter: str, outcome: Outcome, evidence: dict = _NO_EVIDENCE,
-                 note: str = ""):
-        if evidence is _NO_EVIDENCE:
-            evidence = {}
+    def __init__(self, filter: str, outcome: Outcome, evidence: dict, note: str = ""):
         self.__dict__.update(filter=filter, outcome=outcome, evidence=evidence, note=note)
 
     def _key(self) -> tuple:

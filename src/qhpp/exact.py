@@ -17,7 +17,7 @@ __all__ = [
     "hj_value",
     "is_perfect_square",
     "first_shared_factor",
-    "unit_squares_mod",
+    "unit_square_roots",
     "hilbert_symbol",
     "factorize",
     "factor_string",
@@ -82,12 +82,13 @@ def first_shared_factor(values) -> tuple[int, int, int] | None:
     return None
 
 
-def unit_squares_mod(n: int) -> frozenset[int]:
-    """The set {u^2 mod n : gcd(u, n) = 1} of square units modulo n; u <= n/2
-    suffices, as n - u has the same square and is a unit exactly when u is."""
+def unit_square_roots(n: int) -> dict[int, int]:
+    """Each square unit u^2 mod n, gcd(u, n) = 1, mapped to its least root u.
+    u <= n/2 suffices, as n - u has the same square and is a unit exactly
+    when u is; u runs downwards, so the least root is written last."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return frozenset(u * u % n for u in range(1, n // 2 + 1) if math.gcd(u, n) == 1)
+    return {u * u % n: u for u in range(n // 2, 0, -1) if math.gcd(u, n) == 1}
 
 
 def hilbert_symbol(a: int, b: int, p: int) -> int:

@@ -25,9 +25,7 @@ __all__ = [
     "d_lens",
     "spin_labels",
     "lens_spin_d_invariants",
-    "v_trefoil",
     "d_trefoil_surgery",
-    "trefoil_surgery_d_invariants",
     "link_d_invariants",
     "spin_d_invariants",
     "spin_sum_obstruction",
@@ -80,13 +78,6 @@ def lens_spin_d_invariants(p: int, q: int) -> frozenset[Fraction]:
     return frozenset(d_lens(p, q, i) for i in spin_labels(p, q))
 
 
-def v_trefoil(s: int) -> int:
-    """V_s of the right-handed trefoil: 1 at s = 0, else 0."""
-    if s < 0:
-        raise ValueError(f"need s >= 0, got {s}")
-    return 1 if s == 0 else 0
-
-
 def d_trefoil_surgery(p: int, i: int) -> Fraction:
     """d-invariant of integral p surgery on the right-handed trefoil at label
     i, read off L(p, 1), the p surgery on the unknot."""
@@ -94,12 +85,9 @@ def d_trefoil_surgery(p: int, i: int) -> Fraction:
         raise ValueError(f"invalid surgery coefficient {p}")
     if not 0 <= i < p:
         raise ValueError(f"spin-c label {i} out of range for {p} surgery")
-    return -d_lens(p, 1 % p, i) - 2 * max(v_trefoil(i), v_trefoil(p - i))
-
-
-def trefoil_surgery_d_invariants(p: int) -> tuple[Fraction, ...]:
-    """All p-surgery d-invariants, indexed by spin-c label 0..p-1."""
-    return tuple(d_trefoil_surgery(p, i) for i in range(p))
+    # The mapping-cone term 2 max(V_i, V_(p-i)), with V_0 = 1 and V_s = 0 for
+    # s > 0: as p - i >= 1, it is 2 at label 0 and 0 elsewhere.
+    return -d_lens(p, 1 % p, i) - 2 * (i == 0)
 
 
 def link_d_invariants(t: SingularityType) -> tuple[Fraction, ...]:
@@ -109,7 +97,7 @@ def link_d_invariants(t: SingularityType) -> tuple[Fraction, ...]:
         vals = [d_lens(link.p, link.q, i) for i in range(link.p)]
     elif isinstance(link, TrefoilSurgeryLink):
         k = -link.framing
-        vals = [-d for d in trefoil_surgery_d_invariants(k)]
+        vals = [-d_trefoil_surgery(k, i) for i in range(k)]
     else:
         raise SpinDataUnavailable(f"d-invariants of {link} are not tabulated")
     return tuple(sorted(vals, reverse=True))

@@ -18,7 +18,6 @@ from .configuration import Configuration, ObstructionVerdict, Outcome, Record
 __all__ = [
     "CyclicLinkingForm",
     "lens_linking_form",
-    "surgery_linking_form",
     "reversed_link_form",
     "connected_sum_form",
     "is_isomorphic",
@@ -57,13 +56,6 @@ def lens_linking_form(p: int, q: int) -> CyclicLinkingForm:
     return CyclicLinkingForm(p, q)
 
 
-def surgery_linking_form(framing: int) -> CyclicLinkingForm:
-    """Linking form (-1/k) of +k surgery on a knot, independent of the knot."""
-    if framing < 1:
-        raise ValueError(f"framing must be a positive integer, got {framing}")
-    return CyclicLinkingForm(framing, framing - 1)
-
-
 def reversed_link_form(t: SingularityType) -> CyclicLinkingForm | None:
     """Linking form of the orientation-reversed link of t, or None if unknown."""
     link = t.link
@@ -71,8 +63,9 @@ def reversed_link_form(t: SingularityType) -> CyclicLinkingForm | None:
         return lens_linking_form(link.p, link.q).negate()
     if isinstance(link, TrefoilSurgeryLink):
         # The link is a negative surgery on the left trefoil; its reversal is
-        # the positive surgery on the right trefoil.
-        return surgery_linking_form(-link.framing)
+        # the positive k surgery on the right trefoil, with form -1/k.
+        k = -link.framing
+        return CyclicLinkingForm(k, k - 1)
     return None
 
 
@@ -97,7 +90,7 @@ def is_isomorphic(f: CyclicLinkingForm, g: CyclicLinkingForm) -> bool:
     if f.is_trivial:
         return True
     ratio = g.value * pow(f.value, -1, f.order) % f.order
-    return ratio in exact.unit_squares_mod(f.order)
+    return ratio in exact.unit_square_roots(f.order)
 
 
 def linking_obstruction(config: Configuration) -> ObstructionVerdict:
@@ -143,12 +136,11 @@ def boundary_verdict(forms) -> ObstructionVerdict:
         return ObstructionVerdict(name, Outcome.PASS, evidence)
     residue = (-composed.value) % modulus
     evidence.update(required_class=f"-1/{modulus}", residue=residue)
-    squares = exact.unit_squares_mod(modulus)
-    if residue in squares:
-        # residue is a unit, so every root of it is one too.
-        evidence["unit"] = next(u for u in range(1, modulus) if u * u % modulus == residue)
+    roots = exact.unit_square_roots(modulus)
+    if residue in roots:
+        evidence["unit"] = roots[residue]
         return ObstructionVerdict(name, Outcome.PASS, evidence)
-    evidence["unit_squares"] = sorted(squares)
+    evidence["unit_squares"] = sorted(roots)
     return ObstructionVerdict(
         name, Outcome.OBSTRUCTED, evidence,
         note=f"{residue} is not a square unit modulo {modulus}",

@@ -35,7 +35,6 @@ __all__ = [
     "bmy_filter",
     "Filter",
     "FILTERS",
-    "FILTER_ORDER",
     "screen",
     "CandidateReport",
     "ClassificationReport",
@@ -120,7 +119,7 @@ def enumerate_candidates(index: int) -> tuple[Configuration, ...]:
         # Numerically trivial K is excluded when H_1 of the smooth locus
         # vanishes, so only the 27 imported types with K nontrivial remain;
         # keep those with pairwise coprime determinants.
-        configs = [Configuration.of(ms) for ms in catalog.GORENSTEIN_K_NONTRIVIAL]
+        configs = [Configuration.of(ms) for ms in catalog.imported("gorenstein_k_nontrivial")]
         return _sorted_configs(c for c in configs if c.dets_pairwise_coprime())
     if index not in (2, 3):
         raise ValueError(f"index must be 1, 2 or 3, got {index}")
@@ -235,7 +234,7 @@ def bmy_filter(config: Configuration) -> ObstructionVerdict:
 
 @lru_cache(maxsize=None)
 def _index2_log_del_pezzo() -> frozenset:
-    return frozenset(Configuration.of(ms).key() for ms in catalog.LOG_DEL_PEZZO_INDEX2_18)
+    return frozenset(Configuration.of(ms).key() for ms in catalog.imported("log_del_pezzo_index2"))
 
 
 def _donaldson(config: Configuration, budget: int) -> ObstructionVerdict:
@@ -287,7 +286,6 @@ FILTERS = (
     _rerun("linking_form", _linking_form),
     _rerun("spin_sum", _spin_sum),
 )
-FILTER_ORDER = tuple(f.name for f in FILTERS)
 _FILTERS_BY_NAME = {f.name: f for f in FILTERS}
 
 
@@ -343,9 +341,6 @@ class ClassificationReport(Record):
         }
 
 
-_REALIZABLE = {1: "REALIZABLE_INDEX1_7", 2: "REALIZABLE_INDEX2_4", 3: "REALIZABLE_INDEX3_16"}
-
-
 def screen(config: Configuration,
            budget: int = DEFAULT_BUDGET) -> tuple[ObstructionVerdict, ...]:
     """Run the full ordered filter chain on one configuration."""
@@ -358,7 +353,7 @@ def classify(index: int, budget: int = DEFAULT_BUDGET) -> ClassificationReport:
     for config in enumerate_candidates(index):
         case = index3_case(config) if index == 3 else None
         reports.append(CandidateReport(config, screen(config, budget), case))
-    realizable = tuple(Configuration.of(ms) for ms in getattr(catalog, _REALIZABLE[index]))
+    realizable = tuple(Configuration.of(ms) for ms in catalog.imported(f"realizable_index{index}"))
     return ClassificationReport(index, tuple(reports), realizable)
 
 

@@ -195,25 +195,24 @@ def test_h1_order_equals_det():
 
 
 def test_imported_list_sizes():
-    assert len(catalog.GORENSTEIN_K_NONTRIVIAL) == 27
-    assert len(catalog.GORENSTEIN_K_TRIVIAL) == 31
-    assert len(catalog.GORENSTEIN_58) == 58
-    assert len(catalog.LOG_DEL_PEZZO_INDEX2_18) == 18
-    assert len(catalog.REALIZABLE_INDEX1_7) == 7
-    assert len(catalog.REALIZABLE_INDEX2_4) == 4
-    assert len(catalog.REALIZABLE_INDEX3_16) == 16
+    # The Gorenstein list has 58 types: 27 with K nontrivial, 31 with K trivial.
+    sizes = {"gorenstein_k_nontrivial": 27, "gorenstein_k_trivial": 31,
+             "log_del_pezzo_index2": 18, "realizable_index1": 7,
+             "realizable_index2": 4, "realizable_index3": 16}
+    assert {name: len(catalog.imported(name)) for name in sizes} == sizes
+    assert catalog.imported("realizable_index1") is catalog.imported("realizable_index1")
 
 
 def test_imported_list_membership():
     def keys(lists):
         return {tuple(sorted((t.species, t.n) for t in ms)) for ms in lists}
 
-    k_trivial = keys(catalog.GORENSTEIN_K_TRIVIAL)
+    k_trivial = keys(catalog.imported("gorenstein_k_trivial"))
     assert tuple(sorted([("A", 3), ("A", 3), ("A", 1), ("A", 1), ("A", 1)])) in k_trivial
-    k_nontrivial = keys(catalog.GORENSTEIN_K_NONTRIVIAL)
+    k_nontrivial = keys(catalog.imported("gorenstein_k_nontrivial"))
     assert (("A", 8),) in k_nontrivial
     assert k_trivial.isdisjoint(k_nontrivial)
-    an18 = keys(catalog.LOG_DEL_PEZZO_INDEX2_18)
+    an18 = keys(catalog.imported("log_del_pezzo_index2"))
     assert tuple(sorted([("K", 1), ("K", 1), ("A", 7)])) in an18
 
 

@@ -328,7 +328,7 @@ _LOAD_LIST_PROBE = """
 import contextlib, io, sys
 calls = []
 sys.setprofile(lambda frame, event, arg: event == "call"
-               and frame.f_code.co_name == "_load_list" and calls.append(frame))
+               and frame.f_code.co_name == "imported" and calls.append(frame))
 from qhpp import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(sys.argv[1:]) == 0

@@ -72,11 +72,11 @@ def test_first_shared_factor():
 
 
 def test_is_square_unit_mod_known_values():
-    assert 7 not in exact.unit_squares_mod(12)
-    assert 29 not in exact.unit_squares_mod(36)
-    assert 5 not in exact.unit_squares_mod(9)
+    assert 7 not in exact.unit_square_roots(12)
+    assert 29 not in exact.unit_square_roots(36)
+    assert 5 not in exact.unit_square_roots(9)
     for n in range(2, 60):
-        assert 1 in exact.unit_squares_mod(n)
+        assert 1 in exact.unit_square_roots(n)
 
 
 def test_is_square_unit_mod_agrees_with_enumeration():
@@ -84,24 +84,28 @@ def test_is_square_unit_mod_agrees_with_enumeration():
         units = [c for c in range(1, n) if math.gcd(c, n) == 1]
         squares = {u * u % n for u in units}
         for c in units:
-            assert (c in exact.unit_squares_mod(n)) == (c in squares)
+            assert (c in exact.unit_square_roots(n)) == (c in squares)
 
 
 def test_unit_squares_mod_matches_the_full_range():
-    # The half-range scan must give the set of the definition, u over 1..n-1.
+    # The half-range scan must give the squares of the definition, u over
+    # 1..n-1, each with its least root in that range.
     for n in range(2, 501):
-        assert exact.unit_squares_mod(n) == \
-            {u * u % n for u in range(1, n) if math.gcd(u, n) == 1}, n
+        least = {}
+        for u in range(1, n):
+            if math.gcd(u, n) == 1:
+                least.setdefault(u * u % n, u)
+        assert exact.unit_square_roots(n) == least, n
     with pytest.raises(ValueError):
-        exact.unit_squares_mod(1)
+        exact.unit_square_roots(1)
 
 
 def test_is_square_unit_mod_rejects_non_units():
     # A square unit is a unit, so no residue sharing a factor with n is one.
     for c, n in ((4, 12), (0, 5)):
-        assert math.gcd(c, n) != 1 and c not in exact.unit_squares_mod(n)
+        assert math.gcd(c, n) != 1 and c not in exact.unit_square_roots(n)
     for n in range(2, 101):
-        assert all(math.gcd(s, n) == 1 for s in exact.unit_squares_mod(n))
+        assert all(math.gcd(s, n) == 1 for s in exact.unit_square_roots(n))
 
 
 class PairRational:

@@ -80,19 +80,25 @@ def test_kn_closed_form_to_50():
 
 
 def test_v_trefoil():
-    assert floer.v_trefoil(0) == 1
-    assert floer.v_trefoil(1) == 0
-    assert floer.v_trefoil(7) == 0
-    with pytest.raises(ValueError):
-        floer.v_trefoil(-1)
+    # The trefoil's V_s (V_0 = 1, V_s = 0 for s > 0) shifts the p surgery
+    # away from L(p, 1) by 2 max(V_i, V_(p-i)): only at label 0.
+    for p in range(1, 9):
+        for i in range(p):
+            shift = -floer.d_lens(p, 1 % p, i) - floer.d_trefoil_surgery(p, i)
+            assert shift == (2 if i == 0 else 0), (p, i)
+    for p, i in ((0, 0), (3, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            floer.d_trefoil_surgery(p, i)
 
 
 def test_trefoil_surgeries_give_en_links():
     # +1, +2, +3 surgeries on the right-handed trefoil are the reversed
     # links of the E8, E7, E6 singularities.
-    assert floer.trefoil_surgery_d_invariants(1) == (F(-2),)
-    assert sorted(floer.trefoil_surgery_d_invariants(2)) == [F(-7, 4), F(-1, 4)]
-    assert sorted(floer.trefoil_surgery_d_invariants(3)) == [F(-3, 2), F(-1, 6), F(-1, 6)]
+    def values(p):
+        return sorted(floer.d_trefoil_surgery(p, i) for i in range(p))
+    assert values(1) == [F(-2)]
+    assert values(2) == [F(-7, 4), F(-1, 4)]
+    assert values(3) == [F(-3, 2), F(-1, 6), F(-1, 6)]
 
 
 def test_link_d_invariants_en():
@@ -107,7 +113,7 @@ def test_link_d_invariants_en():
 def test_d5_link_two_routes_agree():
     # The D5 link is the -4 surgery on the left trefoil; its spin values from
     # the surgery formula must match the D-series closed form n/4, (n - 4)/4.
-    surgery_values = [-d for d in floer.trefoil_surgery_d_invariants(4)]
+    surgery_values = [-floer.d_trefoil_surgery(4, i) for i in range(4)]
     assert sorted(surgery_values) == [F(0), F(0), F(1, 4), F(5, 4)]
     spin_subset = frozenset(-floer.d_trefoil_surgery(4, i) for i in (0, 2))
     assert spin_subset == floer.spin_d_invariants(catalog.lookup("D", 5)) == {F(5, 4), F(1, 4)}

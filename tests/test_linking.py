@@ -14,11 +14,13 @@ def test_lens_linking_form_values():
 
 
 def test_surgery_linking_form_values():
-    assert linking.surgery_linking_form(3) == CyclicLinkingForm(3, 2)
-    assert linking.surgery_linking_form(4) == CyclicLinkingForm(4, 3)
-    assert linking.surgery_linking_form(1).is_trivial
-    with pytest.raises(ValueError):
-        linking.surgery_linking_form(0)
+    # The reversed links of E6, E7, E8 and D5 are +3, +2, +1 and +4 surgeries
+    # on the right trefoil, with forms -1/k.
+    forms = {token: linking.reversed_link_form(catalog.parse_token(token))
+             for token in ("E6", "E7", "E8", "D5")}
+    assert forms == {"E6": CyclicLinkingForm(3, 2), "E7": CyclicLinkingForm(2, 1),
+                     "E8": CyclicLinkingForm(1, 0), "D5": CyclicLinkingForm(4, 3)}
+    assert forms["E8"].is_trivial
 
 
 def test_form_validation():

@@ -17,18 +17,17 @@ def test_verdict_equality_ignores_evidence():
     assert a != ObstructionVerdict("spin_sum", Outcome.PASS, {"K2": "1"}, "note")
 
 
-def test_verdict_default_evidence_is_fresh_and_none_is_kept():
-    a = ObstructionVerdict("bmy", Outcome.NOT_APPLICABLE)
-    b = ObstructionVerdict("bmy", Outcome.NOT_APPLICABLE)
-    assert a.evidence == {} and a.evidence is not b.evidence
-    a.evidence["k"] = 1
-    assert b.evidence == {}
+def test_verdict_evidence_is_required_and_kept_as_given():
+    evidence = {}
+    assert ObstructionVerdict("bmy", Outcome.NOT_APPLICABLE, evidence).evidence is evidence
     assert ObstructionVerdict("bmy", Outcome.PASS, None).evidence is None
-    assert ObstructionVerdict("bmy", Outcome.PASS, note="n").note == "n"
+    assert ObstructionVerdict("bmy", Outcome.PASS, {}, note="n").note == "n"
+    with pytest.raises(TypeError):
+        ObstructionVerdict("bmy", Outcome.PASS)
 
 
 def test_verdict_repr():
-    assert repr(ObstructionVerdict("bmy", Outcome.PASS)) == \
+    assert repr(ObstructionVerdict("bmy", Outcome.PASS, {})) == \
         "ObstructionVerdict(filter='bmy', outcome=<Outcome.PASS: 'PASS'>, evidence={}, note='')"
 
 
@@ -56,7 +55,7 @@ def _one_of_each_record():
         (emb, "vectors"),
         (lattice.complement_witness(emb), "square"),
         (report.candidates[0], "case"),
-        (ObstructionVerdict("bmy", Outcome.PASS), "evidence"),
+        (ObstructionVerdict("bmy", Outcome.PASS, {}), "evidence"),
         (config, "members"),
         (report, "index"),
         (linking.CyclicLinkingForm(4, 3), "value"),

@@ -150,7 +150,7 @@ def test_screen_gives_a_verdict_on_every_valid_token():
                                 ("A20(1,1)", "donaldson")]:
         config = Configuration.from_tokens(tokens)
         verdicts = screening.screen(config)
-        assert [v.filter for v in verdicts] == list(screening.FILTER_ORDER)
+        assert [v.filter for v in verdicts] == [f.name for f in screening.FILTERS]
         outcomes = {v.filter: v.outcome for v in verdicts}
         assert outcomes[filter_name] is Outcome.NOT_APPLICABLE, tokens
         assert all(screening.replay_verdict(config, v) for v in verdicts), tokens
