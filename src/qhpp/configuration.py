@@ -122,7 +122,7 @@ class Configuration(Record):
 
     @classmethod
     def from_tokens(cls, line: str) -> "Configuration":
-        return cls.of(catalog.parse_multiset(line))
+        return cls(catalog.parse_multiset(line))
 
     @property
     def name(self) -> str:
@@ -139,8 +139,11 @@ class Configuration(Record):
 
     @cached_property
     def K2(self) -> Fraction:
-        """Canonical square: 9 - L minus the per-singularity corrections."""
-        return Fraction(9) - self.L + sum((-t.dp_square for t in self.members), Fraction(0))
+        """Canonical square: 9 - L minus the corrections, added over one denominator."""
+        squares = [t.dp_square for t in self.members]
+        den = math.lcm(*(s.denominator for s in squares))
+        num = sum(s.numerator * (den // s.denominator) for s in squares)
+        return Fraction((9 - self.L) * den - num, den)
 
     @cached_property
     def h1_product(self) -> int:
@@ -156,14 +159,13 @@ class Configuration(Record):
 
     @cached_property
     def e_orb(self) -> Fraction | None:
-        """Orbifold Euler characteristic; None when a local group order is
-        not tabulated (non-cyclic index-three species)."""
-        total = Fraction(3)
-        for t in self.members:
-            if t.group_order is None:
-                return None
-            total -= 1 - Fraction(1, t.group_order)
-        return total
+        """Orbifold Euler number 3 - sum(1 - 1/|G|), added over one denominator;
+        None when a group order is untabulated (non-cyclic index-three species)."""
+        orders = [t.group_order for t in self.members]
+        if None in orders:
+            return None
+        den = math.lcm(*orders)
+        return Fraction((3 - len(orders)) * den + sum(den // g for g in orders), den)
 
     def dets_pairwise_coprime(self) -> bool:
         return exact.first_shared_factor([t.det_r for t in self.members]) is None

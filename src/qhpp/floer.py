@@ -126,7 +126,8 @@ def spin_sum_obstruction(config: Configuration) -> ObstructionVerdict:
     When the product of the link homology orders is even, the boundary of
     the curve-complement 4-manifold is spin, which forces some choice of one
     spin d-invariant per singularity to sum to exactly 1/4.  OBSTRUCTED means
-    no choice attains 1/4; the evidence lists every attempted sum.
+    no choice attains 1/4; the evidence lists every attempted sum, added in
+    integers over one denominator, and the first choice that attains 1/4.
     """
     name = "spin_sum"
     if config.h1_product % 2 == 1:
@@ -147,15 +148,18 @@ def spin_sum_obstruction(config: Configuration) -> ObstructionVerdict:
         )
     per_member = [[t.name, [str(v) for v in vals]]
                   for t, vals in zip(config.members, value_sets)]
-    sums = sorted({sum(choice, Fraction(0)) for choice in product(*value_sets)})
+    den = math.lcm(SPIN_SUM_TARGET.denominator, *(v.denominator for vs in value_sets for v in vs))
+    scaled = [[v.numerator * (den // v.denominator) for v in vals] for vals in value_sets]
+    target = int(SPIN_SUM_TARGET * den)
+    sums = sorted(set(map(sum, product(*scaled))))
     evidence = {
         "h1_product": config.h1_product,
         "per_member": per_member,
-        "sums": [str(s) for s in sums],
+        "sums": [str(Fraction(s, den)) for s in sums],
         "target": str(SPIN_SUM_TARGET),
     }
-    if SPIN_SUM_TARGET in sums:
-        witness = next(c for c in product(*value_sets) if sum(c, Fraction(0)) == SPIN_SUM_TARGET)
-        evidence["witness"] = [str(v) for v in witness]
+    if target in sums:
+        choices = zip(product(*scaled), product(*(strs for _, strs in per_member)))
+        evidence["witness"] = next(list(strs) for ints, strs in choices if sum(ints) == target)
         return ObstructionVerdict(name, Outcome.PASS, evidence)
     return ObstructionVerdict(name, Outcome.OBSTRUCTED, evidence)

@@ -120,11 +120,17 @@ def plumbing_for_reversed_link(t: SingularityType) -> tuple[int, ...]:
 def chain_gram(chains) -> list[list[int]]:
     """Intersection form of disjoint linear plumbings, vertices in chain
     order: the weights on the diagonal, 1 between neighbours of one chain,
-    0 elsewhere."""
-    verts = [(ci, pi, w) for ci, chain in enumerate(chains) for pi, w in enumerate(chain)]
-    return [[wi if i == j else int(ci == cj and abs(pi - pj) == 1)
-             for j, (cj, pj, _) in enumerate(verts)]
-            for i, (ci, pi, wi) in enumerate(verts)]
+    0 elsewhere, filled into a zero matrix."""
+    n = sum(map(len, chains))
+    gram = [[0] * n for _ in range(n)]
+    i = 0
+    for chain in chains:
+        for k, w in enumerate(chain):
+            gram[i][i] = w
+            if k:
+                gram[i][i - 1] = gram[i - 1][i] = 1
+            i += 1
+    return gram
 
 
 def _normalize_chains(lattices) -> list[tuple[int, ...]]:

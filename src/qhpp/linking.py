@@ -89,8 +89,10 @@ def is_isomorphic(f: CyclicLinkingForm, g: CyclicLinkingForm) -> bool:
         return False
     if f.is_trivial:
         return True
-    ratio = g.value * pow(f.value, -1, f.order) % f.order
-    return ratio in exact.unit_square_roots(f.order)
+    n = f.order
+    ratio = g.value * pow(f.value, -1, n) % n
+    # A root of the unit ratio is a unit; u and n - u have the same square.
+    return any(u * u % n == ratio for u in range(1, n // 2 + 1))
 
 
 def linking_obstruction(config: Configuration) -> ObstructionVerdict:

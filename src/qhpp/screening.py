@@ -223,12 +223,12 @@ def bmy_filter(config: Configuration) -> ObstructionVerdict:
         return ObstructionVerdict(
             name, Outcome.PASS, {"anti_ample_possible": True},
             note="an anti-ample canonical class is not excluded")
-    e_orb = config.e_orb  # defined: every member of index <= 2 has a group order
-    evidence = {"K2": str(config.K2), "three_e_orb": str(3 * e_orb)}
-    if config.K2 > 3 * e_orb:
+    three_e_orb = 3 * config.e_orb  # defined: every member of index <= 2 has a group order
+    evidence = {"K2": str(config.K2), "three_e_orb": str(three_e_orb)}
+    if config.K2 > three_e_orb:
         return ObstructionVerdict(
             name, Outcome.OBSTRUCTED, evidence,
-            note=f"K^2 = {config.K2} exceeds 3 e_orb = {3 * e_orb} with K ample")
+            note=f"K^2 = {config.K2} exceeds 3 e_orb = {three_e_orb} with K ample")
     return ObstructionVerdict(name, Outcome.PASS, evidence)
 
 

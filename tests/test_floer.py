@@ -1,9 +1,12 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qhpp import catalog, exact, floer
+from qhpp import catalog, exact, floer, screening
 from qhpp.configuration import Configuration, Outcome
 
 F = Fraction
@@ -218,3 +221,63 @@ def test_spin_sum_not_applicable_cases():
     v = floer.spin_sum_obstruction(_config("D5(2)"))
     assert v.outcome is Outcome.NOT_APPLICABLE
     assert "unavailable" in v.evidence
+
+
+def _naive_spin_sum(config):
+    """The spin-sum evidence by Fraction sums taken one term at a time:
+    (outcome, sums, witness), or None where the test does not apply.  The
+    per-member values are the filter's inputs; only the sums are checked."""
+    if math.prod(t.det_r for t in config.members) % 2:
+        return None
+    try:
+        value_sets = [sorted(floer.spin_d_invariants(t)) for t in config.members]
+    except floer.SpinDataUnavailable:
+        return None
+    total = {}
+    for choice in itertools.product(*value_sets):
+        s = Fraction(0)
+        for v in choice:
+            s += v
+        total.setdefault(s, choice)
+    sums = [str(s) for s in sorted(total)]
+    witness = total.get(Fraction(1, 4))
+    if witness is None:
+        return Outcome.OBSTRUCTED, sums, None
+    return Outcome.PASS, sums, [str(v) for v in witness]
+
+
+def _assert_spin_sum_matches_naive(config):
+    verdict = floer.spin_sum_obstruction(config)
+    expected = _naive_spin_sum(config)
+    if expected is None:
+        assert verdict.outcome is Outcome.NOT_APPLICABLE, config
+        return
+    outcome, sums, witness = expected
+    assert verdict.outcome is outcome, config
+    assert verdict.evidence["sums"] == sums, config
+    assert verdict.evidence.get("witness") == witness, config
+
+
+def test_spin_sum_matches_naive_fraction_sums_on_every_candidate():
+    for index in (1, 2, 3):
+        for config in screening.enumerate_candidates(index):
+            _assert_spin_sum_matches_naive(config)
+
+
+@st.composite
+def _lens_or_trefoil(draw):
+    """A member whose link is a lens space or a trefoil surgery: every member
+    of the A, K, A(r) and A(r,s) species, E_n, and D5."""
+    species = draw(st.sampled_from(["A", "K", "A(1)", "A(2)", "A(1,1)", "A(1,2)", "A(2,2)", "E", "D"]))
+    _, least, greatest, _ = catalog.SPECIES[species]
+    if species == "D":
+        least = greatest = 5
+    return catalog.lookup(species, draw(st.integers(least, least + 20 if greatest is None else greatest)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_lens_or_trefoil(), min_size=1, max_size=4))
+@example(catalog.parse_multiset("A1 A1 A1"))  # three choices attain 1/4
+@example(catalog.parse_multiset("A3 A1 A1"))  # two, in different positions
+def test_spin_sum_matches_naive_fraction_sums_on_random_multisets(members):
+    _assert_spin_sum_matches_naive(Configuration.of(members))

@@ -76,6 +76,24 @@ def _gram(vectors):
     return [[-sum(map(mul, a, b)) for b in vectors] for a in vectors]
 
 
+def _comprehension_chain_gram(chains):
+    """The plumbing Gram matrix built entry by entry from (chain, position,
+    weight) triples."""
+    verts = [(ci, pi, w) for ci, chain in enumerate(chains) for pi, w in enumerate(chain)]
+    return [[wi if i == j else int(ci == cj and abs(pi - pj) == 1)
+             for j, (cj, pj, _) in enumerate(verts)]
+            for i, (ci, pi, wi) in enumerate(verts)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-30, -2), min_size=1, max_size=6), min_size=1, max_size=4))
+def test_chain_gram_matches_the_comprehension(chains):
+    gram = lattice.chain_gram(chains)
+    assert gram == _comprehension_chain_gram(chains)
+    # Rows are distinct lists, so a caller may write to one row alone.
+    assert len({id(row) for row in gram}) == len(gram)
+
+
 def test_gram_constraints_hold_post_hoc():
     for _, chains, rank, _ in EMBEDDING_INSTANCES:
         verts = [(ci, pi, w) for ci, ch in enumerate(chains) for pi, w in enumerate(ch)]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qhpp import catalog, linking
+from qhpp import catalog, exact, linking
 from qhpp.configuration import Configuration, Outcome
 from qhpp.linking import CyclicLinkingForm
 
@@ -96,6 +96,20 @@ def test_isomorphism_is_an_equivalence_relation():
                 for h in forms:
                     if linking.is_isomorphic(g, h):
                         assert linking.is_isomorphic(f, h)
+
+
+def test_isomorphism_matches_the_square_root_table():
+    # is_isomorphic scans for a root of the ratio; the oracle looks the ratio
+    # up among the square units, each found with its gcd.
+    for n in range(2, 121):
+        squares = exact.unit_square_roots(n)
+        units = [c for c in range(1, n) if math.gcd(c, n) == 1]
+        for a in units:
+            inverse = pow(a, -1, n)
+            f = CyclicLinkingForm(n, a)
+            for b in units:
+                expected = b * inverse % n in squares
+                assert linking.is_isomorphic(f, CyclicLinkingForm(n, b)) == expected, (n, a, b)
 
 
 def _config(tokens):
