@@ -22,13 +22,14 @@ import argparse
 import math
 import re
 import sys
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import catalog, exact
 from .configuration import DEFAULT_BUDGET, Outcome, ResourceBudgetExceeded
 
 if TYPE_CHECKING:
-    from . import linking, screening
+    from . import screening
 
 __all__ = ["main"]
 
@@ -244,8 +245,12 @@ def _cmd_dinv(args) -> int:
 
 _FRACTION_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 
+# The square-unit test tabulates the units up to half the composed modulus,
+# about 55 bytes each, so linkform stops above this modulus before any table.
+MAX_LINKFORM_MODULUS = 1_000_000
 
-def _parse_form_descriptor(token: str) -> linking.CyclicLinkingForm:
+
+def _parse_form_descriptor(token: str) -> Fraction:
     from . import linking
     token = token.strip()
     m = _FRACTION_RE.match(token)
@@ -256,7 +261,7 @@ def _parse_form_descriptor(token: str) -> linking.CyclicLinkingForm:
             raise UsageError(f"form {token} has a zero denominator")
         if math.gcd(c, n) != 1:
             raise UsageError(f"form {token} is degenerate")
-        return linking.CyclicLinkingForm(n, c % n)
+        return Fraction(c, n) % 1
     try:
         member = catalog.parse_token(token)
     except ValueError as exc:
@@ -289,6 +294,10 @@ def _cmd_linkform(args) -> int:
     if not tokens:
         raise UsageError("--sum needs at least one descriptor")
     forms = [_parse_form_descriptor(t) for t in tokens]
+    modulus = math.prod(f.denominator for f in forms)
+    if modulus > MAX_LINKFORM_MODULUS:
+        raise UsageError(f"the composed modulus {modulus} exceeds the linkform limit "
+                         f"{MAX_LINKFORM_MODULUS}")
     try:
         verdict = linking.boundary_verdict(forms)
     except ValueError as exc:

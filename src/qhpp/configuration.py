@@ -16,6 +16,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 from . import catalog, exact
 from .catalog import SingularityType
@@ -23,7 +24,6 @@ from .catalog import SingularityType
 __all__ = [
     "DEFAULT_BUDGET",
     "ResourceBudgetExceeded",
-    "Record",
     "Outcome",
     "ObstructionVerdict",
     "Configuration",
@@ -36,41 +36,6 @@ class ResourceBudgetExceeded(RuntimeError):
     """The embedding search exceeded its extension budget."""
 
 
-class Record:
-    """Base of the read-only records that are not tuples: those that cache
-    derived values (``cached_property`` needs an instance ``__dict__``),
-    check their fields, or leave a field out of equality.
-
-    ``_fields`` names the fields in constructor order.  ``__init__`` writes
-    them once into the instance ``__dict__``; assigning any attribute
-    afterwards raises AttributeError.  Equality and the hash read ``_key()``,
-    which is every field unless a subclass says otherwise, and hold only
-    between instances of one class.
-    """
-    _fields: tuple[str, ...] = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is read-only")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
 class Outcome(Enum):
     PASS = "PASS"
     OBSTRUCTED = "OBSTRUCTED"
@@ -80,20 +45,17 @@ class Outcome(Enum):
         return self.value
 
 
-class ObstructionVerdict(Record):
+class ObstructionVerdict(NamedTuple):
     """Outcome of one screening filter applied to one configuration.
 
     ``evidence`` is a JSON-serializable payload (fractions appear as strings)
     sufficient to re-verify an OBSTRUCTED or PASS outcome standalone, kept
-    as given.  Equality and the hash ignore the evidence.
+    as given.
     """
-    _fields = ("filter", "outcome", "evidence", "note")
-
-    def __init__(self, filter: str, outcome: Outcome, evidence: dict, note: str = ""):
-        self.__dict__.update(filter=filter, outcome=outcome, evidence=evidence, note=note)
-
-    def _key(self) -> tuple:
-        return (self.filter, self.outcome, self.note)
+    filter: str
+    outcome: Outcome
+    evidence: dict
+    note: str = ""
 
     @property
     def obstructed(self) -> bool:
@@ -106,12 +68,13 @@ class ObstructionVerdict(Record):
         return out
 
 
-class Configuration(Record):
-    """A multiset of singularity types with derived global invariants."""
-    _fields = ("members",)
+class _ConfigurationFields(NamedTuple):
+    members: tuple[SingularityType, ...]
 
-    def __init__(self, members: tuple[SingularityType, ...]):
-        self.__dict__.update(members=members)
+
+class Configuration(_ConfigurationFields):
+    """A multiset of singularity types with derived global invariants, cached
+    in the instance ``__dict__`` (the class declares no ``__slots__``)."""
 
     @classmethod
     def of(cls, members) -> "Configuration":

@@ -24,7 +24,6 @@ __all__ = [
     "SpinDataUnavailable",
     "d_lens",
     "spin_labels",
-    "lens_spin_d_invariants",
     "d_trefoil_surgery",
     "link_d_invariants",
     "spin_d_invariants",
@@ -51,12 +50,22 @@ def _validate_lens(p: int, q: int, i: int) -> None:
 
 @lru_cache(maxsize=None)
 def d_lens(p: int, q: int, i: int) -> Fraction:
-    """d-invariant d(L(p,q), i), with L(p,q) the -p/q surgery on the unknot."""
+    """d-invariant d(L(p,q), i), with L(p,q) the -p/q surgery on the unknot.
+
+    The recursion is unrolled: walk the Euclidean chain down to L(1, 0), then
+    fold back from d(S^3) = 0 in the integers 4p d(L(p,q), i).  L(p,q) bounds
+    a negative definite plumbing of determinant p, so 4p d is an integer and
+    each step divides exactly by q.
+    """
     _validate_lens(p, q, i)
-    if p == 1:
-        return Fraction(0)
-    correction = Fraction((2 * i + 1 - p - q) ** 2, 4 * p * q)
-    return Fraction(1, 4) - correction - d_lens(q, p % q, i % q)
+    chain = []
+    while p != 1:
+        chain.append((p, q, i))
+        p, q, i = q, p % q, i % q
+    scaled = 0
+    for p, q, i in reversed(chain):
+        scaled = p - ((2 * i + 1 - p - q) ** 2 + p * scaled) // q
+    return Fraction(scaled, 4 * p)
 
 
 def spin_labels(p: int, q: int) -> frozenset[int]:
@@ -72,10 +81,6 @@ def spin_labels(p: int, q: int) -> frozenset[int]:
     if (p + q - 1) % 2 == 0:
         labels.add((p + q - 1) // 2)
     return frozenset(labels)
-
-
-def lens_spin_d_invariants(p: int, q: int) -> frozenset[Fraction]:
-    return frozenset(d_lens(p, q, i) for i in spin_labels(p, q))
 
 
 def d_trefoil_surgery(p: int, i: int) -> Fraction:
@@ -111,7 +116,7 @@ def spin_d_invariants(t: SingularityType) -> frozenset[Fraction]:
     SpinDataUnavailable (never an empty set) where it has none."""
     link = t.link
     if isinstance(link, LensLink):
-        return lens_spin_d_invariants(link.p, link.q)
+        return frozenset(d_lens(link.p, link.q, i) for i in spin_labels(link.p, link.q))
     if isinstance(link, TrefoilSurgeryLink):
         k = -link.framing
         return frozenset(-d_trefoil_surgery(k, i) for i in spin_labels(k, 1 % k))

@@ -1,23 +1,24 @@
 """Linking forms on cyclic groups and the boundary linking-form obstruction.
 
 A nondegenerate symmetric form on Z/n valued in Q/Z is recorded by the
-residue c with lambda(g, g) = c/n on a generator; two forms c/n and c'/n are
-isomorphic exactly when c' = c u^2 (mod n) for a unit u.  The lens space
-L(p,q) carries the form q/p, a +k surgery on any knot carries -1/k, and the
-form of an orientation reversal is the negation.
+value lambda(g, g) = c/n on a generator, a Fraction in [0, 1) whose
+denominator is the group order n (c is a unit mod n; the trivial group
+carries 0).  Two forms c/n and c'/n are isomorphic exactly when
+c' = c u^2 (mod n) for a unit u.  The lens space L(p,q) carries the form
+q/p, a +k surgery on any knot carries -1/k, and the form of an orientation
+reversal is the negation.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from . import exact
 from .catalog import LensLink, SingularityType, TrefoilSurgeryLink
-from .configuration import Configuration, ObstructionVerdict, Outcome, Record
+from .configuration import Configuration, ObstructionVerdict, Outcome
 
 __all__ = [
-    "CyclicLinkingForm",
-    "lens_linking_form",
     "reversed_link_form",
     "connected_sum_form",
     "is_isomorphic",
@@ -26,71 +27,42 @@ __all__ = [
 ]
 
 
-class CyclicLinkingForm(Record):
-    """The form lambda(g,g) = value/order on a generator g of Z/order."""
-    _fields = ("order", "value")
-
-    def __init__(self, order: int, value: int):
-        if order < 1:
-            raise ValueError(f"order must be positive, got {order}")
-        if order == 1:
-            if value != 0:
-                raise ValueError("the trivial group carries only the zero form")
-        elif not (0 < value < order and math.gcd(value, order) == 1):
-            raise ValueError(f"form value must be a reduced unit residue, got {value}/{order}")
-        self.__dict__.update(order=order, value=value)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
-    def negate(self) -> "CyclicLinkingForm":
-        return CyclicLinkingForm(self.order, (-self.value) % self.order)
-
-    def __str__(self):
-        return "0" if self.is_trivial else f"{self.value}/{self.order}"
-
-
-def lens_linking_form(p: int, q: int) -> CyclicLinkingForm:
-    """Linking form of L(p,q): the class (q/p) on Z/p."""
-    return CyclicLinkingForm(p, q)
-
-
-def reversed_link_form(t: SingularityType) -> CyclicLinkingForm | None:
+def reversed_link_form(t: SingularityType) -> Fraction | None:
     """Linking form of the orientation-reversed link of t, or None if unknown."""
     link = t.link
     if isinstance(link, LensLink):
-        return lens_linking_form(link.p, link.q).negate()
+        # The negation of q/p, the form of L(p, q).
+        return Fraction(link.p - link.q, link.p)
     if isinstance(link, TrefoilSurgeryLink):
         # The link is a negative surgery on the left trefoil; its reversal is
         # the positive k surgery on the right trefoil, with form -1/k.
         k = -link.framing
-        return CyclicLinkingForm(k, k - 1)
+        return Fraction(k - 1, k)
     return None
 
 
-def connected_sum_form(forms) -> CyclicLinkingForm:
+def connected_sum_form(forms) -> Fraction:
     """Compose forms on groups of pairwise coprime order over the diagonal
-    generator (1, ..., 1) of the product group."""
+    generator (1, ..., 1) of the product group, added in integers over the
+    product of the orders."""
     forms = list(forms)
-    orders = [f.order for f in forms]
+    orders = [f.denominator for f in forms]
     pair = exact.first_shared_factor(orders)
     if pair is not None:
         i, j, _ = pair
         raise ValueError(f"orders {orders[i]} and {orders[j]} are not coprime")
     total = math.prod(orders)
-    value = sum(f.value * (total // f.order) for f in forms) % total
-    return CyclicLinkingForm(total, value)
+    return Fraction(sum(f.numerator * (total // f.denominator) for f in forms) % total, total)
 
 
-def is_isomorphic(f: CyclicLinkingForm, g: CyclicLinkingForm) -> bool:
+def is_isomorphic(f: Fraction, g: Fraction) -> bool:
     """Whether two cyclic forms are isomorphic (equal up to a unit square)."""
-    if f.order != g.order:
+    n = f.denominator
+    if n != g.denominator:
         return False
-    if f.is_trivial:
+    if n == 1:
         return True
-    n = f.order
-    ratio = g.value * pow(f.value, -1, n) % n
+    ratio = g.numerator * pow(f.numerator, -1, n) % n
     # A root of the unit ratio is a unit; u and n - u have the same square.
     return any(u * u % n == ratio for u in range(1, n // 2 + 1))
 
@@ -132,11 +104,11 @@ def boundary_verdict(forms) -> ObstructionVerdict:
     pairwise coprime."""
     name = "linking_form"
     composed = connected_sum_form(forms)
-    modulus = composed.order
+    modulus = composed.denominator
     evidence = {"composed": str(composed), "modulus": modulus}
-    if composed.is_trivial:
+    if modulus == 1:
         return ObstructionVerdict(name, Outcome.PASS, evidence)
-    residue = (-composed.value) % modulus
+    residue = (-composed.numerator) % modulus
     evidence.update(required_class=f"-1/{modulus}", residue=residue)
     roots = exact.unit_square_roots(modulus)
     if residue in roots:

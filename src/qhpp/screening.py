@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 from . import catalog, exact
 from .catalog import SingularityType
-from .configuration import DEFAULT_BUDGET, Configuration, ObstructionVerdict, Outcome, Record
+from .configuration import DEFAULT_BUDGET, Configuration, ObstructionVerdict, Outcome
 
 __all__ = [
     "enumerate_candidates",
@@ -306,12 +306,15 @@ class CandidateReport(NamedTuple):
         return next(v for v in self.verdicts if v.filter == filter_name)
 
 
-class ClassificationReport(Record):
-    _fields = ("index", "candidates", "realizable")
+class _ReportFields(NamedTuple):
+    index: int
+    candidates: tuple[CandidateReport, ...]
+    realizable: tuple[Configuration, ...]
 
-    def __init__(self, index: int, candidates: tuple[CandidateReport, ...],
-                 realizable: tuple[Configuration, ...]):
-        self.__dict__.update(index=index, candidates=candidates, realizable=realizable)
+
+class ClassificationReport(_ReportFields):
+    """The screened candidates of one index; no ``__slots__``, so that
+    ``_realizable_keys`` can be cached on the instance."""
 
     @property
     def survivors(self) -> tuple[CandidateReport, ...]:

@@ -12,7 +12,6 @@ import expected_tables as tables
 from lattice_oracle import brute_force_orbits, orbit_min
 from qhpp import catalog, exact, floer, lattice, linking, screening
 from qhpp.configuration import Configuration
-from qhpp.linking import CyclicLinkingForm
 
 F = Fraction
 
@@ -41,9 +40,9 @@ def test_criterion_1_en_link_d_invariants():
 def test_criterion_2_spin_d_closed_forms():
     ok = True
     for n in range(1, 51):
-        a = floer.lens_spin_d_invariants(n + 1, n)
+        a = floer.spin_d_invariants(catalog.lookup("A", n))
         want_a = {F(-1, 4), F(n, 4)} if n % 2 == 1 else {F(n, 4)}
-        k = floer.lens_spin_d_invariants(4 * n, 2 * n - 1)
+        k = floer.spin_d_invariants(catalog.lookup("K", n))
         want_k = {F(-3, 4), F(1, 4)} if n % 2 == 1 else {F(-1, 4)}
         ok = ok and a == want_a and k == want_k
     _check(2, "A_n and K_n spin d-invariant closed forms to n = 50", ok)
@@ -166,13 +165,13 @@ def test_criterion_9_property_suite(classified):
                 ok = ok and exact.hj_value(exact.hj_expand(p, q)) == (p, q)
     # Linking-form self-consistency up to p = 200: reversal negates the
     # form, and the two boundary generators give isomorphic classes.
+    a1 = catalog.lookup("A", 1)
     for p in range(2, 201):
         for q in range(1, p):
             if math.gcd(p, q) == 1:
-                ok = ok and linking.lens_linking_form(p, p - q) == \
-                    linking.lens_linking_form(p, q).negate()
-                ok = ok and linking.is_isomorphic(
-                    CyclicLinkingForm(p, q), CyclicLinkingForm(p, pow(q, -1, p)))
+                t = a1._replace(link=catalog.LensLink(p, q))
+                ok = ok and linking.reversed_link_form(t) == -F(q, p) % 1
+                ok = ok and linking.is_isomorphic(F(q, p), F(pow(q, -1, p), p))
     # Recursion termination: depth equals the Euclidean step count.
     for p in range(2, 201):
         for q in range(1, p):

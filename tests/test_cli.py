@@ -55,6 +55,18 @@ def test_dinv_rejects_bad_params(capsys):
     assert (code, out.splitlines()[1:]) == (0, ["  label   0: -49999999/2"])
 
 
+def test_dinv_spin_walks_long_euclidean_chains(capsys):
+    # Consecutive Fibonacci numbers of 251 digits: the Euclidean chain of
+    # L(p, q) has about 1,200 steps, past the interpreter's recursion limit.
+    q, p = 1, 2
+    while len(str(q)) < 251:
+        q, p = p, p + q
+    assert len(str(p)) == 251
+    code, out, err = run_cli(capsys, "dinv", "--lens", f"{p},{q}", "--spin")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 2  # p is odd: one spin structure
+
+
 def test_embed_single_chain(capsys):
     code, out, _ = run_cli(capsys, "embed", "--graphs", "-9", "--ambient", "2")
     assert code == 0
@@ -232,6 +244,25 @@ def test_linkform_fraction_errors(capsys):
                            ("2/4", "error: form 2/4 is degenerate")):
         code, out, err = run_cli(capsys, "linkform", "--sum", token)
         assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_linkform_rejects_a_large_modulus_at_once(capsys):
+    # The square-unit table would hold half a billion units; the limit is
+    # checked on the composed modulus before any table is built.
+    limit = cli.MAX_LINKFORM_MODULUS
+    for spec, modulus in (("1/1000000007", 1_000_000_007), ("1/1009,1/1013", 1009 * 1013)):
+        tracemalloc.start()
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "linkform", "--sum", spec)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == (f"error: the composed modulus {modulus} exceeds the linkform "
+                       f"limit {limit}\n")
+        assert elapsed < 0.5 and peak < 1_000_000
+    code, out, _ = run_cli(capsys, "linkform", "--sum", "1/4,1/9")
+    assert code == 0 and "mod 36" in out
 
 
 def test_usage_errors(capsys):

@@ -44,5 +44,5 @@ def test_reversed_link_form_is_the_plumbing_discriminant_form():
     for t in members:
         form = linking.reversed_link_form(t)
         order, value = _chain_discriminant_form(lattice.plumbing_for_reversed_link(t))
-        assert order == form.order == t.det_r, t.name
-        assert _isomorphic(order, form.value, value), t.name
+        assert order == form.denominator == t.det_r, t.name
+        assert _isomorphic(order, form.numerator, value), t.name

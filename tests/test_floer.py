@@ -27,6 +27,23 @@ def test_d_lens_rejects_bad_input():
         floer.d_lens(1, 1, 0)
 
 
+def _d_lens_recursive(p, q, i):
+    """The recursion of the module docstring, as written."""
+    if p == 1:
+        return F(0)
+    return F(1, 4) - F((2 * i + 1 - p - q) ** 2, 4 * p * q) - _d_lens_recursive(q, p % q, i % q)
+
+
+def test_d_lens_matches_the_recursion():
+    # The unrolled walk against the recursion at every label of every L(p, q)
+    # with p < 60, bypassing the memo.
+    for p in range(1, 60):
+        for q in range(p):
+            if math.gcd(p, q) == 1:
+                for i in range(p):
+                    assert floer.d_lens.__wrapped__(p, q, i) == _d_lens_recursive(p, q, i), (p, q, i)
+
+
 def test_spin_labels():
     assert floer.spin_labels(4, 3) == {1, 3}
     assert floer.spin_labels(5, 4) == {4}
@@ -42,17 +59,17 @@ def test_spin_labels():
 
 def test_spin_d_invariants_of_k1_link():
     # L(4,1): two spin structures with d-invariants -3/4 and 1/4.
-    assert floer.lens_spin_d_invariants(4, 1) == {F(-3, 4), F(1, 4)}
+    assert floer.spin_d_invariants(catalog.parse_token("K1")) == {F(-3, 4), F(1, 4)}
     # Orientation reversal L(4,3) carries the negated set.
-    assert floer.lens_spin_d_invariants(4, 3) == {F(3, 4), F(-1, 4)}
+    assert floer.spin_d_invariants(catalog.parse_token("A3")) == {F(3, 4), F(-1, 4)}
 
 
 def test_spin_d_invariants_of_l24_7():
-    assert floer.lens_spin_d_invariants(24, 7) == {F(-5, 4), F(3, 4)}
+    assert floer.spin_d_invariants(catalog.parse_token("A3(2,2)")) == {F(-5, 4), F(3, 4)}
 
 
 def test_spin_d_invariants_of_l6_1():
-    assert floer.lens_spin_d_invariants(6, 1) == {F(-5, 4), F(1, 4)}
+    assert floer.spin_d_invariants(catalog.parse_token("A1(2)")) == {F(-5, 4), F(1, 4)}
 
 
 def test_an_closed_form_to_50():
@@ -60,26 +77,30 @@ def test_an_closed_form_to_50():
     # even n, with the individual labels pinned down as well.
     for n in range(1, 51):
         p, q = n + 1, n
+        a = catalog.lookup("A", n)
+        assert a.link == (p, q)
         if n % 2 == 1:
             assert floer.d_lens(p, q, (n - 1) // 2) == F(-1, 4)
             assert floer.d_lens(p, q, n) == F(n, 4)
-            assert floer.lens_spin_d_invariants(p, q) == {F(-1, 4), F(n, 4)}
+            assert floer.spin_d_invariants(a) == {F(-1, 4), F(n, 4)}
         else:
             assert floer.d_lens(p, q, n) == F(n, 4)
-            assert floer.lens_spin_d_invariants(p, q) == {F(n, 4)}
+            assert floer.spin_d_invariants(a) == {F(n, 4)}
 
 
 def test_kn_closed_form_to_50():
     for n in range(1, 51):
         p, q = 4 * n, 2 * n - 1
+        k = catalog.lookup("K", n)
+        assert k.link == (p, q)
         if n % 2 == 1:
             assert floer.d_lens(p, q, n - 1) == F(-3, 4)
             assert floer.d_lens(p, q, 3 * n - 1) == F(1, 4)
-            assert floer.lens_spin_d_invariants(p, q) == {F(-3, 4), F(1, 4)}
+            assert floer.spin_d_invariants(k) == {F(-3, 4), F(1, 4)}
         else:
             assert floer.d_lens(p, q, n - 1) == F(-1, 4)
             assert floer.d_lens(p, q, 3 * n - 1) == F(-1, 4)
-            assert floer.lens_spin_d_invariants(p, q) == {F(-1, 4)}
+            assert floer.spin_d_invariants(k) == {F(-1, 4)}
 
 
 def test_v_trefoil():

@@ -1,16 +1,23 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qhpp import catalog, exact, linking
 from qhpp.configuration import Configuration, Outcome
-from qhpp.linking import CyclicLinkingForm
+
+F = Fraction
 
 
 def test_lens_linking_form_values():
-    assert linking.lens_linking_form(4, 3) == CyclicLinkingForm(4, 3)
-    assert linking.lens_linking_form(9, 4) == CyclicLinkingForm(9, 4)
-    assert linking.lens_linking_form(1, 0).is_trivial
+    # The reversed link of a lens-space member L(p, q) carries -q/p in [0, 1).
+    forms = {token: linking.reversed_link_form(catalog.parse_token(token))
+             for token in ("A1", "A3", "K1", "A2(1,2)", "A1(1)")}
+    assert forms == {"A1": F(1, 2), "A3": F(1, 4), "K1": F(3, 4),
+                     "A2(1,2)": F(4, 9), "A1(1)": F(2, 3)}
+    assert [f.denominator for f in forms.values()] == [2, 4, 4, 9, 3]
 
 
 def test_surgery_linking_form_values():
@@ -18,55 +25,56 @@ def test_surgery_linking_form_values():
     # on the right trefoil, with forms -1/k.
     forms = {token: linking.reversed_link_form(catalog.parse_token(token))
              for token in ("E6", "E7", "E8", "D5")}
-    assert forms == {"E6": CyclicLinkingForm(3, 2), "E7": CyclicLinkingForm(2, 1),
-                     "E8": CyclicLinkingForm(1, 0), "D5": CyclicLinkingForm(4, 3)}
-    assert forms["E8"].is_trivial
-
-
-def test_form_validation():
-    with pytest.raises(ValueError):
-        CyclicLinkingForm(6, 2)
-    with pytest.raises(ValueError):
-        CyclicLinkingForm(6, 0)
-    with pytest.raises(ValueError):
-        CyclicLinkingForm(1, 1)
-    for order, value in ((0, 0), (-4, 1), (4, 4), (4, -1)):
-        with pytest.raises(ValueError):
-            CyclicLinkingForm(order, value)
-    with pytest.raises(ValueError):
-        linking.lens_linking_form(6, 4)
-    with pytest.raises(ValueError):
-        linking.lens_linking_form(1, 1)
-    with pytest.raises(ValueError):
-        linking.lens_linking_form(4, 0)
+    assert forms == {"E6": F(2, 3), "E7": F(1, 2), "E8": 0, "D5": F(3, 4)}
+    assert str(forms["E8"]) == "0"
 
 
 def test_connected_sum_values():
-    five_twelfths = linking.connected_sum_form(
-        [CyclicLinkingForm(4, 3), CyclicLinkingForm(3, 2)])
-    assert five_twelfths == CyclicLinkingForm(12, 5)
-    seven_36 = linking.connected_sum_form(
-        [CyclicLinkingForm(9, 4), CyclicLinkingForm(4, 3)])
-    assert seven_36 == CyclicLinkingForm(36, 7)
-    single = linking.connected_sum_form([CyclicLinkingForm(9, 4)])
-    assert single == CyclicLinkingForm(9, 4)
-    assert linking.connected_sum_form([]) .is_trivial
-    trivial = CyclicLinkingForm(1, 0)
-    assert linking.connected_sum_form([trivial, CyclicLinkingForm(9, 4)]) == \
-        CyclicLinkingForm(9, 4)
+    five_twelfths = linking.connected_sum_form([F(3, 4), F(2, 3)])
+    assert five_twelfths == F(5, 12) and str(five_twelfths) == "5/12"
+    seven_36 = linking.connected_sum_form([F(4, 9), F(3, 4)])
+    assert seven_36 == F(7, 36)
+    single = linking.connected_sum_form([F(4, 9)])
+    assert single == F(4, 9)
+    assert linking.connected_sum_form([]) == 0
+    trivial = F(0)
+    assert linking.connected_sum_form([trivial, F(4, 9)]) == F(4, 9)
     assert linking.connected_sum_form([trivial, trivial]) == trivial
     with pytest.raises(ValueError):
-        linking.connected_sum_form([CyclicLinkingForm(4, 1), CyclicLinkingForm(6, 1)])
+        linking.connected_sum_form([F(1, 4), F(1, 6)])
+
+
+@st.composite
+def _coprime_forms(draw):
+    """Up to five forms c/n on pairwise coprime orders n, each c a unit mod n."""
+    orders = []
+    for n in draw(st.lists(st.integers(1, 300), max_size=8)):
+        if len(orders) < 5 and all(math.gcd(n, m) == 1 for m in orders):
+            orders.append(n)
+    units = [draw(st.sampled_from([c for c in range(n) if math.gcd(c, n) == 1]))
+             for n in orders]
+    return list(zip(units, orders))
+
+
+@given(_coprime_forms())
+def test_connected_sum_matches_the_integer_formula(pairs):
+    # The composed form is sum c_i (N / n_i) mod N over N, the product of the
+    # orders n_i, and its denominator is N itself.
+    total = math.prod(n for _, n in pairs)
+    value = sum(c * (total // n) for c, n in pairs) % total
+    composed = linking.connected_sum_form(F(c, n) for c, n in pairs)
+    assert composed.denominator == total
+    assert composed.numerator == value
 
 
 def test_negation_consistency_up_to_200():
-    # -L(p,q) = L(p, p-q), and the form of a reversal is the negation.
-    assert linking.lens_linking_form(1, 0).negate() == CyclicLinkingForm(1, 0)
+    # -L(p,q) = L(p, p-q): the form of a reversal is the negation, mod 1.
+    a1 = catalog.lookup("A", 1)
     for p in range(2, 201):
         for q in range(1, p):
             if math.gcd(p, q) == 1:
-                assert linking.lens_linking_form(p, p - q) == \
-                    linking.lens_linking_form(p, q).negate()
+                t = a1._replace(link=catalog.LensLink(p, q))
+                assert linking.reversed_link_form(t) == F(p - q, p) == -F(q, p) % 1
 
 
 def test_self_consistency_inverse_class_up_to_200():
@@ -77,13 +85,12 @@ def test_self_consistency_inverse_class_up_to_200():
         for q in range(1, p):
             if math.gcd(p, q) == 1:
                 qinv = pow(q, -1, p)
-                assert linking.is_isomorphic(
-                    CyclicLinkingForm(p, q), CyclicLinkingForm(p, qinv))
+                assert linking.is_isomorphic(F(q, p), F(qinv, p))
 
 
 def test_isomorphism_is_an_equivalence_relation():
     for n in range(2, 51):
-        forms = [CyclicLinkingForm(n, c) for c in range(1, n) if math.gcd(c, n) == 1]
+        forms = [F(c, n) for c in range(1, n) if math.gcd(c, n) == 1]
         for f in forms:
             assert linking.is_isomorphic(f, f)
         for f in forms:
@@ -106,10 +113,10 @@ def test_isomorphism_matches_the_square_root_table():
         units = [c for c in range(1, n) if math.gcd(c, n) == 1]
         for a in units:
             inverse = pow(a, -1, n)
-            f = CyclicLinkingForm(n, a)
+            f = F(a, n)
             for b in units:
                 expected = b * inverse % n in squares
-                assert linking.is_isomorphic(f, CyclicLinkingForm(n, b)) == expected, (n, a, b)
+                assert linking.is_isomorphic(f, F(b, n)) == expected, (n, a, b)
 
 
 def _config(tokens):
@@ -159,12 +166,12 @@ def test_linking_obstruction_rejects_non_cyclic_members():
 
 def test_reversed_link_forms():
     k1 = catalog.lookup("K", 1)
-    assert linking.reversed_link_form(k1) == CyclicLinkingForm(4, 3)
+    assert linking.reversed_link_form(k1) == F(3, 4)
     e6 = catalog.lookup("E", 6)
-    assert linking.reversed_link_form(e6) == CyclicLinkingForm(3, 2)
+    assert linking.reversed_link_form(e6) == F(2, 3)
     e8 = catalog.lookup("E", 8)
-    assert linking.reversed_link_form(e8).is_trivial
+    assert linking.reversed_link_form(e8) == 0
     d5 = catalog.lookup("D", 5)
-    assert linking.reversed_link_form(d5) == CyclicLinkingForm(4, 3)
+    assert linking.reversed_link_form(d5) == F(3, 4)
     d7 = catalog.lookup("D", 7)
     assert linking.reversed_link_form(d7) is None

@@ -1,17 +1,17 @@
-"""The value records: equality, hashing, defaults, repr and read-only fields."""
+"""The value records: equality, hashing, defaults, repr, caching and read-only fields."""
 
 from fractions import Fraction
 
 import pytest
 
-from qhpp import catalog, lattice, linking, screening
+from qhpp import catalog, lattice, screening
 from qhpp.configuration import Configuration, ObstructionVerdict, Outcome
 
 
-def test_verdict_equality_ignores_evidence():
+def test_verdict_equality_includes_evidence():
     a = ObstructionVerdict("bmy", Outcome.PASS, {"K2": "1"}, "note")
-    b = ObstructionVerdict("bmy", Outcome.PASS, {"K2": "2"}, "note")
-    assert a == b and hash(a) == hash(b)
+    assert a == ObstructionVerdict("bmy", Outcome.PASS, {"K2": "1"}, "note")
+    assert a != ObstructionVerdict("bmy", Outcome.PASS, {"K2": "2"}, "note")
     assert a != ObstructionVerdict("bmy", Outcome.OBSTRUCTED, {"K2": "1"}, "note")
     assert a != ObstructionVerdict("bmy", Outcome.PASS, {"K2": "1"})
     assert a != ObstructionVerdict("spin_sum", Outcome.PASS, {"K2": "1"}, "note")
@@ -42,6 +42,13 @@ def test_configuration_equality_and_hash_follow_members():
         "Configuration(members=(SingularityType(species='A', n=1, index=1, ")
 
 
+def test_cached_properties_are_computed_once():
+    config = Configuration.from_tokens("K1 A4")
+    assert config.K2 is config.K2
+    report = screening.classify(1)
+    assert report._realizable_keys is report._realizable_keys
+
+
 def _one_of_each_record():
     """An instance of every record type, with one of its fields."""
     config = Configuration.from_tokens("A1")
@@ -58,7 +65,6 @@ def _one_of_each_record():
         (ObstructionVerdict("bmy", Outcome.PASS, {}), "evidence"),
         (config, "members"),
         (report, "index"),
-        (linking.CyclicLinkingForm(4, 3), "value"),
     ]
 
 
