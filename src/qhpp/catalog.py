@@ -37,8 +37,6 @@ __all__ = [
     "SPECIES",
     "lookup",
     "parse_token",
-    "parse_multiset",
-    "format_multiset",
     "imported",
 ]
 
@@ -195,38 +193,16 @@ def parse_token(token: str) -> SingularityType:
     return lookup(species, int(m[2]))
 
 
-def parse_multiset(line: str) -> tuple[SingularityType, ...]:
-    """Parse a whitespace-separated list of species tokens, sorted canonically."""
-    members = tuple(parse_token(tok) for tok in line.split())
-    if not members:
-        raise ValueError("empty singularity multiset")
-    return tuple(sorted(members, key=lambda t: t.sort_key()))
-
-
-def format_multiset(members) -> str:
-    """Compact display name: members grouped with multiplicity prefixes."""
-    members = sorted(members, key=lambda t: t.sort_key())
-    parts = []
-    i = 0
-    while i < len(members):
-        j = i
-        while j < len(members) and members[j] == members[i]:
-            j += 1
-        count = j - i
-        parts.append((str(count) if count > 1 else "") + members[i].name)
-        i = j
-    return "".join(parts)
-
-
 # --------------------------------------------------------------------------
 # Imported classification data
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def imported(name: str) -> tuple[tuple[SingularityType, ...], ...]:
-    """The imported list ``qhpp/data/<name>.txt``, parsed on first use."""
+    """The imported list ``qhpp/data/<name>.txt``, parsed on first use: each
+    line's members in file order."""
     # Imported here: the verbs that read no list do not pay for it at start-up.
     from importlib import resources
     text = (resources.files(__package__) / "data" / f"{name}.txt").read_text()
     lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
-    return tuple(parse_multiset(line) for line in lines if line)
+    return tuple(tuple(map(parse_token, line.split())) for line in lines if line)

@@ -40,6 +40,17 @@ class UsageError(Exception):
     pass
 
 
+def _parse_int(digits: str) -> int:
+    """The integer that a signed string of digits spells, or a usage error past
+    the interpreter's limit on integer-string conversion (4,300 digits by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        size = len(digits.lstrip("+-"))
+        raise UsageError(f"the {size}-digit integer exceeds the interpreter's limit "
+                         "on integer-string conversion") from None
+
+
 def _format_vector(vec) -> str:
     parts = []
     for i, x in enumerate(vec, start=1):
@@ -222,7 +233,7 @@ def _cmd_dinv(args) -> int:
     m = re.match(r"^\s*(\d+)\s*,\s*(\d+)\s*$", args.lens)
     if not m:
         raise UsageError("--lens expects 'p,q'")
-    p, q = int(m.group(1)), int(m.group(2))
+    p, q = _parse_int(m.group(1)), _parse_int(m.group(2))
     try:
         spin = floer.spin_labels(p, q)  # raises on invalid p and q, p = 0 included
     except ValueError as exc:
@@ -256,7 +267,7 @@ def _parse_form_descriptor(token: str) -> Fraction:
     m = _FRACTION_RE.match(token)
     if m:
         # Numerator and denominator as written, so 2/4 is degenerate, not 1/2.
-        c, n = int(m.group(1)), int(m.group(2))
+        c, n = _parse_int(m.group(1)), _parse_int(m.group(2))
         if n == 0:
             raise UsageError(f"form {token} has a zero denominator")
         if math.gcd(c, n) != 1:

@@ -16,6 +16,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import groupby
 from typing import NamedTuple
 
 from . import catalog, exact
@@ -73,23 +74,25 @@ class _ConfigurationFields(NamedTuple):
 
 
 class Configuration(_ConfigurationFields):
-    """A multiset of singularity types with derived global invariants, cached
-    in the instance ``__dict__`` (the class declares no ``__slots__``)."""
+    """A multiset of singularity types, sorted by ``SingularityType.sort_key``
+    when built, so equal multisets are equal configurations; derived
+    invariants are cached in the instance ``__dict__`` (no ``__slots__``)."""
 
-    @classmethod
-    def of(cls, members) -> "Configuration":
-        ms = tuple(sorted(members, key=lambda t: t.sort_key()))
+    def __new__(cls, members) -> "Configuration":
+        ms = tuple(sorted(members, key=SingularityType.sort_key))
         if not ms:
             raise ValueError("a configuration needs at least one singularity")
-        return cls(ms)
+        return super().__new__(cls, ms)
 
     @classmethod
     def from_tokens(cls, line: str) -> "Configuration":
-        return cls(catalog.parse_multiset(line))
+        return cls(map(catalog.parse_token, line.split()))
 
     @property
     def name(self) -> str:
-        return catalog.format_multiset(self.members)
+        """Compact display name: members grouped with multiplicity prefixes."""
+        counts = ((t, sum(1 for _ in run)) for t, run in groupby(self.members))
+        return "".join((str(n) if n > 1 else "") + t.name for t, n in counts)
 
     @cached_property
     def L(self) -> int:
@@ -110,10 +113,7 @@ class Configuration(_ConfigurationFields):
 
     @cached_property
     def h1_product(self) -> int:
-        out = 1
-        for t in self.members:
-            out *= t.det_r
-        return out
+        return math.prod(t.det_r for t in self.members)
 
     @cached_property
     def D(self) -> Fraction:
@@ -132,10 +132,6 @@ class Configuration(_ConfigurationFields):
 
     def dets_pairwise_coprime(self) -> bool:
         return exact.first_shared_factor([t.det_r for t in self.members]) is None
-
-    def key(self) -> tuple:
-        """Hashable multiset identity, independent of formatting."""
-        return tuple(sorted((t.species, t.n) for t in self.members))
 
     def __str__(self):
         return self.name

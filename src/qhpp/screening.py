@@ -18,8 +18,7 @@ when such a filter first runs, so enumerating candidates loads none of them.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
@@ -53,12 +52,6 @@ _MAX_BASE_CURVES = 11
 _CASE_OF_SPECIES = {species: case for case, species in _FAMILIES}
 
 
-def _l_max(dp_total: Fraction) -> int:
-    """Largest L with 9 - L - dp_total > 0."""
-    bound = Fraction(9) - dp_total
-    return int(bound) - 1 if bound.denominator == 1 else math.floor(bound)
-
-
 def _cyclic_members(species: str, curve_bound: int) -> list[SingularityType]:
     """The members of a species with at most ``curve_bound`` curves (member
     n has n) whose link has cyclic H_1, which the boundary cyclicity
@@ -86,7 +79,7 @@ def _coprime_away_from_6(a: int, b: int) -> bool:
 
 
 def _extend_base(base: SingularityType, curve_budget: int,
-                 base_coprime=_coprime) -> list[Configuration]:
+                 base_coprime: Callable[[int, int], bool]) -> list[Configuration]:
     """All configurations {base} + Gorenstein extras within the curve budget.
 
     Extras are pairwise coprime in det; coprimality against the base is
@@ -103,12 +96,15 @@ def _extend_base(base: SingularityType, curve_budget: int,
                 continue
             if exact.first_shared_factor([t.det_r for t in extras]) is not None:
                 continue
-            out.append(Configuration.of((base,) + extras))
+            out.append(Configuration((base,) + extras))
     return out
 
 
 def _sorted_configs(configs) -> tuple[Configuration, ...]:
-    return tuple(sorted(configs, key=lambda c: (c.members[0].sort_key(), c.L, c.key())))
+    # Ties go by the sorted (species, n) pairs, not by sort_key order, which
+    # would reorder the index-2 and index-3 candidates that the output lists.
+    return tuple(sorted(configs, key=lambda c: (
+        c.members[0].sort_key(), c.L, sorted((t.species, t.n) for t in c.members))))
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +115,7 @@ def enumerate_candidates(index: int) -> tuple[Configuration, ...]:
         # Numerically trivial K is excluded when H_1 of the smooth locus
         # vanishes, so only the 27 imported types with K nontrivial remain;
         # keep those with pairwise coprime determinants.
-        configs = [Configuration.of(ms) for ms in catalog.imported("gorenstein_k_nontrivial")]
+        configs = map(Configuration, catalog.imported("gorenstein_k_nontrivial"))
         return _sorted_configs(c for c in configs if c.dets_pairwise_coprime())
     if index not in (2, 3):
         raise ValueError(f"index must be 1, 2 or 3, got {index}")
@@ -136,7 +132,7 @@ def enumerate_candidates(index: int) -> tuple[Configuration, ...]:
         base_rule = _coprime_away_from_6 if case == 4 else _coprime
         out = cases.setdefault(case, [])
         for base in _cyclic_members(species, _MAX_BASE_CURVES):
-            lmax = _l_max(base.dp_square)
+            lmax = math.ceil(9 - base.dp_square) - 1  # the largest L with 9 - L - dp > 0
             if base.curve_count <= lmax:
                 out.extend(_extend_base(base, lmax - base.curve_count, base_rule))
     return tuple(c for configs in cases.values() for c in _sorted_configs(configs))
@@ -219,7 +215,7 @@ def bmy_filter(config: Configuration) -> ObstructionVerdict:
         return ObstructionVerdict(
             name, Outcome.NOT_APPLICABLE, {},
             note="no imported data constrains the sign of the canonical class")
-    if config.key() in _index2_log_del_pezzo():
+    if config in _index2_log_del_pezzo():
         return ObstructionVerdict(
             name, Outcome.PASS, {"anti_ample_possible": True},
             note="an anti-ample canonical class is not excluded")
@@ -234,7 +230,7 @@ def bmy_filter(config: Configuration) -> ObstructionVerdict:
 
 @lru_cache(maxsize=None)
 def _index2_log_del_pezzo() -> frozenset:
-    return frozenset(Configuration.of(ms).key() for ms in catalog.imported("log_del_pezzo_index2"))
+    return frozenset(map(Configuration, catalog.imported("log_del_pezzo_index2")))
 
 
 def _donaldson(config: Configuration, budget: int) -> ObstructionVerdict:
@@ -306,26 +302,18 @@ class CandidateReport(NamedTuple):
         return next(v for v in self.verdicts if v.filter == filter_name)
 
 
-class _ReportFields(NamedTuple):
+class ClassificationReport(NamedTuple):
+    """The screened candidates of one index."""
     index: int
     candidates: tuple[CandidateReport, ...]
     realizable: tuple[Configuration, ...]
-
-
-class ClassificationReport(_ReportFields):
-    """The screened candidates of one index; no ``__slots__``, so that
-    ``_realizable_keys`` can be cached on the instance."""
 
     @property
     def survivors(self) -> tuple[CandidateReport, ...]:
         return tuple(r for r in self.candidates if r.survived)
 
-    @cached_property
-    def _realizable_keys(self) -> frozenset:
-        return frozenset(c.key() for c in self.realizable)
-
     def is_realizable(self, config: Configuration) -> bool:
-        return config.key() in self._realizable_keys
+        return config in self.realizable
 
     @property
     def unmarked_survivors(self) -> tuple[Configuration, ...]:
@@ -334,8 +322,8 @@ class ClassificationReport(_ReportFields):
 
     @property
     def cross_checks(self) -> dict:
-        survivor_keys = {r.config.key() for r in self.survivors}
-        missing = [c.name for c in self.realizable if c.key() not in survivor_keys]
+        survivors = {r.config for r in self.survivors}
+        missing = [c.name for c in self.realizable if c not in survivors]
         return {
             "every_realizable_type_survives": not missing,
             "missing_realizable": missing,
@@ -356,7 +344,7 @@ def classify(index: int, budget: int = DEFAULT_BUDGET) -> ClassificationReport:
     for config in enumerate_candidates(index):
         case = index3_case(config) if index == 3 else None
         reports.append(CandidateReport(config, screen(config, budget), case))
-    realizable = tuple(Configuration.of(ms) for ms in catalog.imported(f"realizable_index{index}"))
+    realizable = tuple(map(Configuration, catalog.imported(f"realizable_index{index}")))
     return ClassificationReport(index, tuple(reports), realizable)
 
 

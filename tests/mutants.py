@@ -1,0 +1,123 @@
+"""Mutation checks: each mutant is a one-line edit of ``src/`` that named
+tests must catch (DeMillo, Lipton and Sayward, "Hints on test data
+selection", IEEE Computer 11(4), 1978).
+
+For each mutant the runner copies ``src/``, ``tests/``, ``pytest.ini`` and
+the benchmark pool that some tests read into a temporary directory, applies
+the edit there (its old text must occur exactly once, so a renamed line
+fails loudly) and runs the named tests with ``pytest -x``: they must fail.
+``pytest.ini``'s ``pythonpath = src`` puts the mutated copy first on the
+path.  The named tests must first pass on an unmutated copy.  pytest does
+not collect this file.
+
+    python tests/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pytest.ini", "bench/embed_pool.json")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/qhpp
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant("walk-root-shares-dots", "lattice.py",
+           "stack, leaves = [(0, (), norm, list(dots))], []",
+           "stack, leaves = [(0, (), norm, dots)], []",
+           ("tests/test_lattice.py::test_walk_matches_the_reference_walk",)),
+    Mutant("gaps-copy", "lattice.py",
+           "child, check = gaps[:], opened", "child, check = gaps, opened",
+           ("tests/test_lattice.py::test_walk_matches_the_reference_walk",)),
+    Mutant("reversed-form-unreversed", "linking.py",
+           "return Fraction(link.p - link.q, link.p)", "return Fraction(link.q, link.p)",
+           ("tests/test_cross_filter.py", "tests/test_linking.py")),
+    Mutant("plumbing-of-the-link-itself", "lattice.py",
+           "hj_expand(p, p - q)", "hj_expand(p, q)",
+           ("tests/test_cross_filter.py",)),
+    Mutant("d-lens-fold-sign", "floer.py",
+           "+ p * scaled", "- p * scaled",
+           ("tests/test_floer.py",)),
+    Mutant("connected-sum-unreduced", "linking.py",
+           "for f in forms) % total, total)", "for f in forms), total)",
+           ("tests/test_linking.py",)),
+    Mutant("legendre-inverted", "exact.py",
+           "(t % 2 and pow(a, half, p) != 1)", "(t % 2 and pow(a, half, p) == 1)",
+           ("tests/test_exact.py",)),
+    Mutant("a12-correction", "catalog.py",
+           "6 * n - 7), Fraction(-2))", "6 * n - 7), Fraction(-5, 3))",
+           ("tests/test_catalog.py::test_lens_members_match_the_adjunction_oracle",)),
+    Mutant("configuration-unsorted", "configuration.py",
+           "ms = tuple(sorted(members, key=SingularityType.sort_key))", "ms = tuple(members)",
+           ("tests/test_records.py",)),
+    Mutant("everything-realizable", "screening.py",
+           "return config in self.realizable", "return True",
+           ("tests/test_cli.py::test_byte_identical_output",)),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    for rel in COPIED:
+        src, dst = ROOT / rel, dest / rel
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        if src.is_dir():
+            shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(src, dst)
+
+
+def _pytest(tree: Path, tests) -> int:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _run(mutant: Mutant | None, tests) -> int:
+    with tempfile.TemporaryDirectory(prefix="qhpp-mutant-") as tmp:
+        tree = Path(tmp)
+        _copy_tree(tree)
+        if mutant is not None:
+            path = tree / "src" / "qhpp" / mutant.file
+            text = path.read_text()
+            count = text.count(mutant.old)
+            if count != 1:
+                raise SystemExit(f"{mutant.name}: old text found {count} times in {mutant.file}")
+            path.write_text(text.replace(mutant.old, mutant.new))
+        return _pytest(tree, tests)
+
+
+def main() -> int:
+    start = time.perf_counter()
+    tests = sorted({t for m in MUTANTS for t in m.tests})
+    if _run(None, tests) != 0:
+        print("FAIL: the named tests do not pass on the unmutated tree")
+        return 1
+    survivors = []
+    for m in MUTANTS:
+        code = _run(m, m.tests)
+        caught = code == 1  # pytest's exit code for failed tests
+        print(f"{'caught' if caught else 'SURVIVED'}: {m.name} (pytest exit {code})")
+        if not caught:
+            survivors.append(m.name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,7 +26,7 @@ def _check(num, name, condition):
 
 
 def _key(tokens):
-    return Configuration.from_tokens(tokens).key()
+    return Configuration.from_tokens(tokens)
 
 
 def test_criterion_1_en_link_d_invariants():
@@ -95,7 +95,7 @@ def test_criterion_5_d_tables():
     for config in screening.enumerate_candidates(2):
         verdict = screening.arithmetic_filter(config)
         if verdict.obstructed:
-            got2[config.key()] = verdict.evidence["factorization"]
+            got2[config] = verdict.evidence["factorization"]
     ok = got2 == {_key(t): d for t, d in tables.INDEX2_ELIMINATED.items()}
 
     expected_cases = {1: tables.INDEX3_CASE1, 2: tables.INDEX3_CASE2,
@@ -104,7 +104,7 @@ def test_criterion_5_d_tables():
     counts = {1: 13, 2: 19, 3: 33, 4: 58, 5: 4, 6: 4}
     for case, expected in expected_cases.items():
         configs = screening.enumerate_index3_case(case)
-        got = {c.key(): exact.factor_string(int(c.D)) for c in configs}
+        got = {c: exact.factor_string(int(c.D)) for c in configs}
         ok = ok and got == {_key(t): d for t, d in expected.items()}
         ok = ok and len(configs) == counts[case]
     _check(5, "index-2 and index-3 D tables with identical factorizations", ok)
@@ -141,14 +141,14 @@ def test_criterion_7_spin_sum_verdicts():
 
 def test_criterion_8_end_to_end_classification(classified):
     rep1 = classified(1)
-    ok = {r.config.key() for r in rep1.survivors} == {_key(t) for t in tables.INDEX1_SURVIVORS}
+    ok = {r.config for r in rep1.survivors} == {_key(t) for t in tables.INDEX1_SURVIVORS}
     rep2 = classified(2)
-    ok = ok and {r.config.key() for r in rep2.survivors} == \
+    ok = ok and {r.config for r in rep2.survivors} == \
         {_key(t) for t in tables.INDEX2_SURVIVORS}
     rep3 = classified(3)
-    ok = ok and {r.config.key() for r in rep3.survivors} == \
+    ok = ok and {r.config for r in rep3.survivors} == \
         {_key(t) for t in tables.INDEX3_SURVIVORS}
-    ok = ok and {c.key() for c in rep3.unmarked_survivors} == \
+    ok = ok and set(rep3.unmarked_survivors) == \
         {_key(t) for t in tables.INDEX3_OPEN}
     ok = ok and rep1.unmarked_survivors == () and rep2.unmarked_survivors == ()
     for rep in (rep1, rep2, rep3):
@@ -194,9 +194,9 @@ def test_criterion_9_property_suite(classified):
     # Filter order does not change the surviving sets.
     for index in (2, 3):
         report = classified(index)
-        baseline = {r.config.key() for r in report.survivors}
+        baseline = {r.config for r in report.survivors}
         for perm in itertools.permutations(range(6)):
-            survivors = {r.config.key() for r in report.candidates
+            survivors = {r.config for r in report.candidates
                          if not any(r.verdicts[i].obstructed for i in perm)}
             ok = ok and survivors == baseline
     _check(9, "property suite (round trips, consistency, order-insensitivity)", ok)

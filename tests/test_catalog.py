@@ -250,11 +250,3 @@ def test_parse_token_rejects_garbage():
         with pytest.raises(ValueError):
             catalog.parse_token(bad)
 
-
-def test_format_multiset_compact_style():
-    ms = catalog.parse_multiset("A3 A1 A3 A1 A1")
-    assert catalog.format_multiset(ms) == "2A33A1"
-    ms = catalog.parse_multiset("E8 A1(1)")
-    assert catalog.format_multiset(ms) == "A1(1)E8"
-    ms = catalog.parse_multiset("A7 K1 K1")
-    assert catalog.format_multiset(ms) == "2K1A7"

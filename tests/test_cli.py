@@ -67,6 +67,14 @@ def test_dinv_spin_walks_long_euclidean_chains(capsys):
     assert len(out.splitlines()) == 2  # p is odd: one spin structure
 
 
+def test_dinv_rejects_integers_past_the_conversion_limit(capsys):
+    # The interpreter converts at most 4,300 digits to an integer by default.
+    p = "9" * 4402
+    assert run_cli(capsys, "dinv", "--lens", f"{p},1", "--spin") == (
+        2, "", "error: the 4402-digit integer exceeds the interpreter's limit on "
+               "integer-string conversion\n")
+
+
 def test_embed_single_chain(capsys):
     code, out, _ = run_cli(capsys, "embed", "--graphs", "-9", "--ambient", "2")
     assert code == 0
@@ -244,6 +252,14 @@ def test_linkform_fraction_errors(capsys):
                            ("2/4", "error: form 2/4 is degenerate")):
         code, out, err = run_cli(capsys, "linkform", "--sum", token)
         assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_linkform_rejects_integers_past_the_conversion_limit(capsys):
+    p = "9" * 4402
+    for spec in (f"1/{p}", f"-{p}/7"):
+        assert run_cli(capsys, "linkform", "--sum", spec) == (
+            2, "", "error: the 4402-digit integer exceeds the interpreter's limit on "
+                   "integer-string conversion\n"), spec[:8]
 
 
 def test_linkform_rejects_a_large_modulus_at_once(capsys):

@@ -39,8 +39,8 @@ def _naive_e_orb(members):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_member(), min_size=1, max_size=4))
 def test_derived_invariants_match_naive_fraction_sums(members):
-    config = Configuration.of(members)
-    # from_tokens takes parse_multiset's order, which must be of's.
+    config = Configuration(members)
+    # Members in any order give one configuration: the constructor sorts them.
     assert Configuration.from_tokens(" ".join(t.name for t in members)).members == config.members
     if any(t.known_dp_square is None for t in members):
         for name in ("K2", "D"):
@@ -64,3 +64,10 @@ def test_derived_invariants_known_values():
     with pytest.raises(ValueError):
         Configuration.from_tokens("D4(1) A1").K2
     assert Configuration.from_tokens("D5(2) A1").e_orb is None
+
+
+def test_name_compact_style():
+    # Members grouped in sort order, with multiplicity prefixes.
+    assert Configuration.from_tokens("A3 A1 A3 A1 A1").name == "2A33A1"
+    assert Configuration.from_tokens("E8 A1(1)").name == "A1(1)E8"
+    assert Configuration.from_tokens("A7 K1 K1").name == "2K1A7"

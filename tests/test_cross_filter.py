@@ -1,17 +1,27 @@
-"""Theorems that tie the inputs of separate filters together.
+"""Theorems that tie the answers of separate filters together.
 
 The linking-form filter reads each member's reversed link form; the
 Donaldson filter reads the plumbing that the reversed link bounds.  The
 boundary of a plumbing with intersection form G carries the form -G^(-1)
 on its discriminant group (Nikulin, "Integral symmetric bilinear forms and
-some of their applications", 1979, §1), so the two inputs must agree.  The
-oracle here reads that form off the chain continuants and imports nothing
-from the package.
+some of their applications", 1979, §1), so the two inputs must agree.  An
+embedding of the plumbing lattice L into the unimodular -Z^(n+1) with
+complement generator w spans L + <w> of index k, so det(-L) |w|^2 = k^2;
+when |w|^2 = det(-L), L is primitive and its form glues to that of <w>, so
+a Donaldson PASS implies a linking-form PASS.  The oracles here read
+determinants and forms off the chain continuants and import nothing from
+the package.
 """
 
+import json
 import math
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhpp import catalog, lattice, linking
+from qhpp.configuration import Outcome
 
 
 def _chain_discriminant_form(weights):
@@ -46,3 +56,63 @@ def test_reversed_link_form_is_the_plumbing_discriminant_form():
         order, value = _chain_discriminant_form(lattice.plumbing_for_reversed_link(t))
         assert order == form.denominator == t.det_r, t.name
         assert _isomorphic(order, form.numerator, value), t.name
+
+
+def _det(chains):
+    """det(-L) of a plumbing of linear chains: the product of the continuants."""
+    return math.prod(_chain_discriminant_form(chain)[0] for chain in chains)
+
+
+def _assert_index_is_square(chains, complement):
+    """det(-L) |w|^2 is the squared index of L + <w> in the unimodular lattice."""
+    product = _det(chains) * sum(x * x for x in complement)
+    assert product > 0 and math.isqrt(product) ** 2 == product, (chains, complement)
+
+
+def test_index_is_a_square_on_every_donaldson_orbit(classified):
+    orbits = 0
+    for index in (1, 2, 3):
+        for report in classified(index).candidates:
+            evidence = report.verdict("donaldson").evidence
+            for orbit in evidence.get("orbits", ()):
+                _assert_index_is_square(evidence["chains"], orbit["complement"])
+                orbits += 1
+    assert orbits == 127
+
+
+def _corank_one_orbits(chains, rank):
+    for emb in lattice.enumerate_embeddings(chains, rank, budget=200_000):
+        yield lattice.complement_witness(emb).generator
+
+
+def test_index_is_a_square_on_the_benchmark_pool():
+    pool = Path(__file__).resolve().parents[1] / "bench" / "embed_pool.json"
+    orbits = 0
+    for inst in json.loads(pool.read_text())["instances"]:
+        chains, rank = inst["chains"], inst["rank"]
+        if sum(map(len, chains)) == rank - 1:
+            for complement in _corank_one_orbits(chains, rank):
+                _assert_index_is_square(chains, complement)
+                orbits += 1
+    assert orbits == 21
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(-9, -2), min_size=1, max_size=4), min_size=1, max_size=3))
+def test_index_is_a_square_on_random_corank_one_instances(chains):
+    rank = sum(map(len, chains)) + 1
+    try:
+        for complement in _corank_one_orbits(chains, rank):
+            _assert_index_is_square(chains, complement)
+    except lattice.ResourceBudgetExceeded:
+        pass
+
+
+def test_donaldson_pass_implies_linking_form_pass(classified):
+    passes = 0
+    for index in (1, 2, 3):
+        for report in classified(index).candidates:
+            if report.verdict("donaldson").outcome is Outcome.PASS:
+                assert report.verdict("linking_form").outcome is Outcome.PASS, report.config.name
+                passes += 1
+    assert passes == 30

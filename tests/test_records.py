@@ -38,15 +38,13 @@ def test_configuration_equality_and_hash_follow_members():
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != Configuration.from_tokens("A2(1,2) E7")
     assert a != a.members
-    assert repr(Configuration.of([catalog.lookup("A", 1)])).startswith(
+    assert repr(Configuration([catalog.lookup("A", 1)])).startswith(
         "Configuration(members=(SingularityType(species='A', n=1, index=1, ")
 
 
 def test_cached_properties_are_computed_once():
     config = Configuration.from_tokens("K1 A4")
     assert config.K2 is config.K2
-    report = screening.classify(1)
-    assert report._realizable_keys is report._realizable_keys
 
 
 def _one_of_each_record():

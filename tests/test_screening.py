@@ -10,7 +10,7 @@ F = Fraction
 
 
 def _key(tokens):
-    return Configuration.from_tokens(tokens).key()
+    return Configuration.from_tokens(tokens)
 
 
 def _keyset(token_lines):
@@ -18,13 +18,13 @@ def _keyset(token_lines):
 
 
 def test_index1_candidates():
-    got = {c.key() for c in screening.enumerate_candidates(1)}
+    got = set(screening.enumerate_candidates(1))
     assert got == _keyset(tables.INDEX1_CANDIDATES)
     assert len(screening.enumerate_candidates(1)) == 10
 
 
 def test_index2_candidates():
-    got = {c.key() for c in screening.enumerate_candidates(2)}
+    got = set(screening.enumerate_candidates(2))
     assert got == _keyset(tables.INDEX2_CANDIDATES)
     assert len(screening.enumerate_candidates(2)) == 28
 
@@ -50,7 +50,7 @@ def test_index3_case_round_trip():
 
 def _assert_case_table(case, expected):
     configs = screening.enumerate_index3_case(case)
-    got = {c.key(): exact.factor_string(int(c.D)) for c in configs}
+    got = {c: exact.factor_string(int(c.D)) for c in configs}
     want = {_key(tokens): d for tokens, d in expected.items()}
     assert got == want
 
@@ -69,7 +69,7 @@ def test_index2_eliminated_table_matches_frozen_values():
     for config in screening.enumerate_candidates(2):
         verdict = screening.arithmetic_filter(config)
         if verdict.obstructed:
-            got[config.key()] = verdict.evidence["factorization"]
+            got[config] = verdict.evidence["factorization"]
     want = {_key(tokens): d for tokens, d in tables.INDEX2_ELIMINATED.items()}
     assert got == want
     assert len(got) == 18
@@ -160,7 +160,7 @@ def test_bmy_eliminates_only_k2_among_square_d_candidates(classified):
     report = classified(2)
     for r in report.candidates:
         if not r.verdict("arithmetic").obstructed:
-            expect = r.config.key() == _key("K2")
+            expect = r.config == _key("K2")
             assert r.verdict("bmy").obstructed == expect, r.config.name
 
 
@@ -177,12 +177,12 @@ def test_cyclic_h1_filter():
 
 def test_classify_index1(classified):
     report = classified(1)
-    got = {r.config.key() for r in report.survivors}
+    got = {r.config for r in report.survivors}
     assert got == _keyset(tables.INDEX1_SURVIVORS)
     assert report.cross_checks["every_realizable_type_survives"]
     assert report.unmarked_survivors == ()
     # D8 falls to non-cyclic homology, A8 and A7 to the diagonalization test.
-    by_key = {r.config.key(): r for r in report.candidates}
+    by_key = {r.config: r for r in report.candidates}
     assert by_key[_key("D8")].verdict("cyclic_h1").obstructed
     assert by_key[_key("A8")].verdict("donaldson").obstructed
     assert by_key[_key("A7")].verdict("donaldson").obstructed
@@ -190,11 +190,11 @@ def test_classify_index1(classified):
 
 def test_classify_index2(classified):
     report = classified(2)
-    got = {r.config.key() for r in report.survivors}
+    got = {r.config for r in report.survivors}
     assert got == _keyset(tables.INDEX2_SURVIVORS)
     assert report.cross_checks["every_realizable_type_survives"]
     assert report.unmarked_survivors == ()
-    by_key = {r.config.key(): r for r in report.candidates}
+    by_key = {r.config: r for r in report.candidates}
     assert by_key[_key("K9")].verdict("donaldson").obstructed
     assert by_key[_key("K8")].verdict("donaldson").obstructed
     assert by_key[_key("K1 A8")].verdict("donaldson").obstructed
@@ -205,12 +205,12 @@ def test_classify_index2(classified):
 
 def test_classify_index3(classified):
     report = classified(3)
-    got = {r.config.key() for r in report.survivors}
+    got = {r.config for r in report.survivors}
     assert got == _keyset(tables.INDEX3_SURVIVORS)
     assert len(report.survivors) == 18
     assert report.cross_checks["every_realizable_type_survives"]
-    assert {c.key() for c in report.unmarked_survivors} == _keyset(tables.INDEX3_OPEN)
-    by_key = {r.config.key(): r for r in report.candidates}
+    assert set(report.unmarked_survivors) == _keyset(tables.INDEX3_OPEN)
+    by_key = {r.config: r for r in report.candidates}
     # The six case-3 eliminations via the diagonalization test.
     for tokens in ["A2(1,2) A7", "A2(1,2)", "A3(1,2)", "A6(1,2)",
                    "A9(1,2)", "A10(1,2)", "A2(2,2) A9", "A5(2,2) A6",
@@ -235,13 +235,13 @@ def test_filter_order_insensitivity(classified):
     import itertools
     for index in (2, 3):
         report = classified(index)
-        baseline = {r.config.key() for r in report.survivors}
+        baseline = {r.config for r in report.survivors}
         for perm in itertools.islice(itertools.permutations(range(6)), 0, 24, 5):
             survivors = set()
             for r in report.candidates:
                 permuted = [r.verdicts[i] for i in perm]
                 if not any(v.obstructed for v in permuted):
-                    survivors.add(r.config.key())
+                    survivors.add(r.config)
             assert survivors == baseline
 
 
