@@ -2,12 +2,12 @@
 
 Each species record carries the numerical invariants consumed by the
 screening pipeline: the determinant of the exceptional sublattice (equal to
-the order of H_1 of the singularity link), the local group order, the number
-of exceptional curves in the minimal resolution, the canonical-square
-correction of the resolution, the isomorphism type of H_1 of the link, and
-the link: a lens space, a trefoil surgery, or a named Seifert manifold that
-carries its tabulated spin d-invariants.  Other modules branch on the kind
-of link, never on a species key.
+the order of H_1 of the singularity link), the local group order, the
+canonical-square correction of the resolution, the isomorphism type of H_1
+of the link, and the link: a lens space, a trefoil surgery, or a named
+Seifert manifold that carries its tabulated spin d-invariants.  Member n of
+a species has n exceptional curves in its minimal resolution.  Other modules
+branch on the kind of link, never on a species key.
 
 Classification theorems that this package *imports* rather than derives
 (the Gorenstein 58-type list, the Alexeev-Nikulin index-two log del Pezzo
@@ -50,16 +50,10 @@ class LensLink(NamedTuple):
     p: int
     q: int
 
-    def __str__(self):
-        return f"L({self.p},{self.q})"
-
 
 class TrefoilSurgeryLink(NamedTuple):
     """Surgery on the left-handed trefoil with the given (negative) framing."""
     framing: int
-
-    def __str__(self):
-        return f"S3_{self.framing}(left trefoil)"
 
 
 class TabulatedLink(NamedTuple):
@@ -67,9 +61,6 @@ class TabulatedLink(NamedTuple):
     d-invariants at the spin structures, or None where none are tabulated."""
     name: str
     spin_d: frozenset[Fraction] | None
-
-    def __str__(self):
-        return self.name
 
 
 Link = LensLink | TrefoilSurgeryLink | TabulatedLink
@@ -88,38 +79,19 @@ class SingularityType(NamedTuple):
     index: int
     det_r: int
     group_order: int | None
-    curve_count: int
-    known_dp_square: Fraction | None
+    # Canonical-square correction of the minimal resolution; None for D4(1)
+    # and D4(2), which their non-cyclic H_1 eliminates before any formula
+    # reads it.
+    dp_square: Fraction | None
     h1_kind: str  # H_1 of the link: "cyclic", "Z2+Z2" or "Z6+Z2"; its order is det_r
     link: Link
-
-    @property
-    def dp_square(self) -> Fraction:
-        """Canonical-square correction of the minimal resolution at this point.
-
-        Unset for D4(1)/D4(2): both are eliminated by their non-cyclic H_1
-        before any formula consumes the value, so reading it is a hard error.
-        """
-        if self.known_dp_square is None:
-            raise ValueError(f"dp_square is not defined for {self.name}")
-        return self.known_dp_square
 
     @property
     def name(self) -> str:
         return f"{self.species[0]}{self.n}{self.species[1:]}"
 
     def sort_key(self):
-        letter = self.species[0]
-        return (
-            0 if self.index > 1 else 1,
-            -self.curve_count,
-            _LETTER_RANK[letter],
-            -self.n,
-            self.species,
-        )
-
-    def __str__(self):
-        return self.name
+        return (0 if self.index > 1 else 1, -self.n, _LETTER_RANK[self.species[0]], self.species)
 
 
 def _lens(pq, dp: Fraction):
@@ -127,27 +99,27 @@ def _lens(pq, dp: Fraction):
     n curves, cyclic H_1, and its determinant and group order equal p."""
     def member(n):
         p, q = pq(n)
-        return p, p, n, dp, "cyclic", LensLink(p, q)
+        return p, p, dp, "cyclic", LensLink(p, q)
     return member
 
 
 def _d_index3(r: int, dp: Fraction, spin_d: dict):
     """Member n of D(r): H_1 of order 12, cyclic for odd n; spin d-invariants
     spin_d[n] where tabulated, and no group order (no screening formula reads it)."""
-    return lambda n: (12, None, n, dp if n >= 5 else None, "cyclic" if n % 2 else "Z6+Z2",
+    return lambda n: (12, None, dp if n >= 5 else None, "cyclic" if n % 2 else "Z6+Z2",
                       TabulatedLink(f"D{n}({r})", spin_d.get(n)))
 
 
 # The species table: key -> (index, least n, greatest n or None, member),
-# where member(n) gives (det_r, group_order, curve_count, known_dp_square,
-# h1_kind, link).  A key is its token with the number removed ("A4" -> "A",
-# "A2(1,2)" -> "A(1,2)", "A1(1)" -> "A(1)"), and member n has n curves.
+# where member(n) gives (det_r, group_order, dp_square, h1_kind, link).  A key
+# is its token with the number removed ("A4" -> "A", "A2(1,2)" -> "A(1,2)",
+# "A1(1)" -> "A(1)"), and member n has n curves.
 SPECIES = {
     "A": (1, 1, None, _lens(lambda n: (n + 1, n), Fraction(0))),
-    "D": (1, 4, None, lambda n: (4, 4 * (n - 2), n, Fraction(0), "cyclic" if n % 2 else "Z2+Z2",
+    "D": (1, 4, None, lambda n: (4, 4 * (n - 2), Fraction(0), "cyclic" if n % 2 else "Z2+Z2",
                                  TrefoilSurgeryLink(-4) if n == 5 else TabulatedLink(
                                      f"D{n}", frozenset({Fraction(n, 4), Fraction(n - 4, 4)})))),
-    "E": (1, 6, 8, lambda n: (9 - n, {6: 24, 7: 48, 8: 120}[n], n, Fraction(0), "cyclic",
+    "E": (1, 6, 8, lambda n: (9 - n, {6: 24, 7: 48, 8: 120}[n], Fraction(0), "cyclic",
                               TrefoilSurgeryLink(n - 9))),
     "K": (2, 1, None, _lens(lambda n: (4 * n, 2 * n - 1), Fraction(-1))),
     "A(1)": (3, 1, 1, _lens(lambda n: (3, 1), Fraction(-1, 3))),

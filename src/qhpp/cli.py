@@ -65,10 +65,9 @@ _ROW_HEADERS = ["Type", "L", "K^2", "D"]
 
 def _row(config) -> list:
     """The columns Type, L, K^2 and D of a configuration, with D factored
-    when it is a positive integer."""
+    when it is positive."""
     d = config.D
-    d_str = exact.factor_string(int(d)) if d > 0 and d.denominator == 1 else str(d)
-    return [config.name, config.L, str(config.K2), d_str]
+    return [config.name, config.L, str(config.K2), exact.factor_string(d) if d > 0 else str(d)]
 
 
 def _markdown_table(headers, rows) -> str:
@@ -85,6 +84,7 @@ def _markdown_table(headers, rows) -> str:
 
 def _candidate_json(report: screening.ClassificationReport,
                     r: screening.CandidateReport) -> dict:
+    from . import screening
     c = r.config
     d = c.D
     entry = {
@@ -96,10 +96,10 @@ def _candidate_json(report: screening.ClassificationReport,
         "verdicts": [v.to_json() for v in r.verdicts],
         "survived": r.survived,
     }
-    if d > 0 and d.denominator == 1:
-        entry["D_factored"] = exact.factor_string(int(d))
-    if r.case is not None:
-        entry["case"] = r.case
+    if d > 0:
+        entry["D_factored"] = exact.factor_string(d)
+    if report.index == 3:
+        entry["case"] = screening.index3_case(c)
     if r.survived:
         entry["realizable"] = report.is_realizable(c)
     return entry
@@ -307,7 +307,10 @@ def _cmd_linkform(args) -> int:
     forms = [_parse_form_descriptor(t) for t in tokens]
     modulus = math.prod(f.denominator for f in forms)
     if modulus > MAX_LINKFORM_MODULUS:
-        raise UsageError(f"the composed modulus {modulus} exceeds the linkform limit "
+        # Counted, not printed: str() of a modulus past 4,300 digits would raise.
+        digits = int(math.log10(modulus)) + 1  # the float may be off by one
+        digits += (modulus >= 10 ** digits) - (modulus < 10 ** (digits - 1))
+        raise UsageError(f"the {digits}-digit composed modulus exceeds the linkform limit "
                          f"{MAX_LINKFORM_MODULUS}")
     try:
         verdict = linking.boundary_verdict(forms)

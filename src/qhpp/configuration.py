@@ -97,7 +97,7 @@ class Configuration(_ConfigurationFields):
     @cached_property
     def L(self) -> int:
         """Total number of exceptional curves in the minimal resolution."""
-        return sum(t.curve_count for t in self.members)
+        return sum(t.n for t in self.members)
 
     @cached_property
     def index(self) -> int:
@@ -106,6 +106,9 @@ class Configuration(_ConfigurationFields):
     @cached_property
     def K2(self) -> Fraction:
         """Canonical square: 9 - L minus the corrections, added over one denominator."""
+        for t in self.members:
+            if t.dp_square is None:
+                raise ValueError(f"dp_square is not defined for {t.name}")
         squares = [t.dp_square for t in self.members]
         den = math.lcm(*(s.denominator for s in squares))
         num = sum(s.numerator * (den // s.denominator) for s in squares)
@@ -116,9 +119,13 @@ class Configuration(_ConfigurationFields):
         return math.prod(t.det_r for t in self.members)
 
     @cached_property
-    def D(self) -> Fraction:
-        """K^2 times the product of the link homology orders."""
-        return self.K2 * self.h1_product
+    def D(self) -> int:
+        """K^2 times the product of the link homology orders: an integer, as
+        every correction with denominator 3 belongs to a determinant divisible by 3."""
+        d = self.K2 * self.h1_product
+        if d.denominator != 1:
+            raise ValueError(f"D = {d} of {self.name} is not an integer")
+        return d.numerator
 
     @cached_property
     def e_orb(self) -> Fraction | None:
@@ -132,6 +139,3 @@ class Configuration(_ConfigurationFields):
 
     def dets_pairwise_coprime(self) -> bool:
         return exact.first_shared_factor([t.det_r for t in self.members]) is None
-
-    def __str__(self):
-        return self.name

@@ -104,7 +104,7 @@ def link_d_invariants(t: SingularityType) -> tuple[Fraction, ...]:
         k = -link.framing
         vals = [-d_trefoil_surgery(k, i) for i in range(k)]
     else:
-        raise SpinDataUnavailable(f"d-invariants of {link} are not tabulated")
+        raise SpinDataUnavailable(f"d-invariants of {link.name} are not tabulated")
     return tuple(sorted(vals, reverse=True))
 
 
@@ -121,7 +121,7 @@ def spin_d_invariants(t: SingularityType) -> frozenset[Fraction]:
         k = -link.framing
         return frozenset(-d_trefoil_surgery(k, i) for i in spin_labels(k, 1 % k))
     if link.spin_d is None:
-        raise SpinDataUnavailable(f"spin d-invariants of {link} are not tabulated")
+        raise SpinDataUnavailable(f"spin d-invariants of {link.name} are not tabulated")
     return link.spin_d
 
 

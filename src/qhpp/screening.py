@@ -69,30 +69,20 @@ def _gorenstein_pool(curve_budget: int) -> tuple[SingularityType, ...]:
     return tuple(t for species in "ADE" for t in _cyclic_members(species, curve_budget))
 
 
-def _coprime(a: int, b: int) -> bool:
-    return math.gcd(a, b) == 1
-
-
-def _coprime_away_from_6(a: int, b: int) -> bool:
-    g = math.gcd(a, b)
-    return g % 2 != 0 and g % 3 != 0
-
-
-def _extend_base(base: SingularityType, curve_budget: int,
-                 base_coprime: Callable[[int, int], bool]) -> list[Configuration]:
+def _extend_base(base: SingularityType, curve_budget: int, modulus: int) -> list[Configuration]:
     """All configurations {base} + Gorenstein extras within the curve budget.
 
-    Extras are pairwise coprime in det; coprimality against the base is
-    checked with ``base_coprime``.  At most four singularities in total: a
-    configuration with five is Gorenstein (type 2A3 3A1), which no
-    non-Gorenstein base matches.
+    Extras are pairwise coprime in det; against the base they are coprime
+    at the primes that divide ``modulus``, or at every prime when it is 0.
+    At most four singularities in total: a configuration with five is
+    Gorenstein (type 2A3 3A1), which no non-Gorenstein base matches.
     """
     pool = [t for t in _gorenstein_pool(curve_budget)
-            if base_coprime(base.det_r, t.det_r)]
+            if math.gcd(base.det_r, t.det_r, modulus) == 1]
     out = []
     for size in range(0, 4):
         for extras in combinations_with_replacement(pool, size):
-            if sum(t.curve_count for t in extras) > curve_budget:
+            if sum(t.n for t in extras) > curve_budget:
                 continue
             if exact.first_shared_factor([t.det_r for t in extras]) is not None:
                 continue
@@ -129,12 +119,12 @@ def enumerate_candidates(index: int) -> tuple[Configuration, ...]:
         # member only at the primes 2 and 3; overlaps at larger primes stay
         # in the candidate table and fall to the arithmetic or
         # diagonalization filters.
-        base_rule = _coprime_away_from_6 if case == 4 else _coprime
+        modulus = 6 if case == 4 else 0
         out = cases.setdefault(case, [])
         for base in _cyclic_members(species, _MAX_BASE_CURVES):
             lmax = math.ceil(9 - base.dp_square) - 1  # the largest L with 9 - L - dp > 0
-            if base.curve_count <= lmax:
-                out.extend(_extend_base(base, lmax - base.curve_count, base_rule))
+            if base.n <= lmax:
+                out.extend(_extend_base(base, lmax - base.n, modulus))
     return tuple(c for configs in cases.values() for c in _sorted_configs(configs))
 
 
@@ -181,7 +171,7 @@ def arithmetic_filter(config: Configuration) -> ObstructionVerdict:
     """K^2 times the product of link homology orders must be a nonzero
     perfect square."""
     name = "arithmetic"
-    unknown = [t.name for t in config.members if t.known_dp_square is None]
+    unknown = [t.name for t in config.members if t.dp_square is None]
     if unknown:
         return ObstructionVerdict(name, Outcome.NOT_APPLICABLE, {"unknown_dp_square": unknown},
                                   note="canonical-square correction unavailable")
@@ -190,15 +180,11 @@ def arithmetic_filter(config: Configuration) -> ObstructionVerdict:
     if d <= 0:
         return ObstructionVerdict(name, Outcome.OBSTRUCTED, evidence,
                                   note="D is not positive")
-    if d.denominator != 1:
-        return ObstructionVerdict(name, Outcome.OBSTRUCTED, evidence,
-                                  note="D is not an integer")
-    value = int(d)
-    evidence["factorization"] = exact.factor_string(value)
-    if not exact.is_perfect_square(value):
+    evidence["factorization"] = exact.factor_string(d)
+    if not exact.is_perfect_square(d):
         return ObstructionVerdict(name, Outcome.OBSTRUCTED, evidence,
                                   note=f"D = {evidence['factorization']} is not a square")
-    evidence["sqrt"] = math.isqrt(value)
+    evidence["sqrt"] = math.isqrt(d)
     return ObstructionVerdict(name, Outcome.PASS, evidence)
 
 
@@ -292,7 +278,6 @@ _FILTERS_BY_NAME = {f.name: f for f in FILTERS}
 class CandidateReport(NamedTuple):
     config: Configuration
     verdicts: tuple[ObstructionVerdict, ...]
-    case: int | None = None
 
     @property
     def survived(self) -> bool:
@@ -340,12 +325,10 @@ def screen(config: Configuration,
 
 def classify(index: int, budget: int = DEFAULT_BUDGET) -> ClassificationReport:
     """Screen every candidate of the given index and assemble the report."""
-    reports = []
-    for config in enumerate_candidates(index):
-        case = index3_case(config) if index == 3 else None
-        reports.append(CandidateReport(config, screen(config, budget), case))
+    reports = tuple(CandidateReport(config, screen(config, budget))
+                    for config in enumerate_candidates(index))
     realizable = tuple(map(Configuration, catalog.imported(f"realizable_index{index}")))
-    return ClassificationReport(index, tuple(reports), realizable)
+    return ClassificationReport(index, reports, realizable)
 
 
 def replay_verdict(config: Configuration, verdict: ObstructionVerdict) -> bool:

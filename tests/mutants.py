@@ -66,6 +66,12 @@ MUTANTS = (
     Mutant("everything-realizable", "screening.py",
            "return config in self.realizable", "return True",
            ("tests/test_cli.py::test_byte_identical_output",)),
+    Mutant("case4-coprime-at-every-prime", "screening.py",
+           "modulus = 6 if case == 4 else 0", "modulus = 0",
+           ("tests/test_screening.py::test_index3_case_counts",)),
+    Mutant("k2-reads-a-missing-correction", "configuration.py",
+           "if t.dp_square is None:", "if False:",
+           ("tests/test_catalog.py::test_d4_index3_dp_square_is_a_hard_error",)),
 )
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from qhpp import catalog, exact
 from qhpp.catalog import LensLink, TabulatedLink, TrefoilSurgeryLink
+from qhpp.configuration import Configuration
 
 
 def test_lookup_k2():
@@ -13,7 +14,7 @@ def test_lookup_k2():
     assert t.group_order == 8
     assert t.dp_square == Fraction(-1)
     assert t.link == LensLink(8, 3)
-    assert t.curve_count == 2
+    assert t.n == 2
 
 
 def test_lookup_a4():
@@ -45,7 +46,7 @@ def test_gorenstein_invariants():
     for n in range(1, 20):
         a = catalog.lookup("A", n)
         assert a.det_r == a.group_order == n + 1
-        assert a.curve_count == n
+        assert a.n == n
         assert a.link == LensLink(n + 1, n)
     for n in range(4, 15):
         d = catalog.lookup("D", n)
@@ -87,8 +88,20 @@ def test_index3_dp_squares():
 def test_d4_index3_dp_square_is_a_hard_error():
     for species in ("D(1)", "D(2)"):
         t = catalog.lookup(species, 4)
-        with pytest.raises(ValueError):
-            t.dp_square
+        assert t.dp_square is None
+        with pytest.raises(ValueError, match="dp_square is not defined for D4"):
+            Configuration([t]).K2
+
+
+def test_dp_square_times_det_is_an_integer():
+    # A correction with denominator 3 comes with a determinant divisible by 3,
+    # so Configuration.D = K^2 * prod(det_r) is an integer on every multiset.
+    for species, (_, least, greatest, _) in catalog.SPECIES.items():
+        top = least + 60 if greatest is None else greatest
+        for n in range(least, top + 1):
+            t = catalog.lookup(species, n)
+            if t.dp_square is not None:
+                assert (t.dp_square * t.det_r).denominator == 1, t.name
 
 
 def test_index3_noncyclic_h1():
@@ -114,11 +127,11 @@ def _lens_members():
 
 def test_curve_count_matches_resolution_graph_length():
     # For every cyclic species the resolution is the linear plumbing on the
-    # continued-fraction expansion of the link, so the stored curve count
-    # must equal the expansion length.
+    # continued-fraction expansion of the link, so its length must be the
+    # curve count n.
     for t in _lens_members():
         cf = exact.hj_expand(t.link.p, t.link.q)
-        assert len(cf) == t.curve_count, t.name
+        assert len(cf) == t.n, t.name
 
 
 def _adjunction_oracle(p, q):
@@ -157,10 +170,10 @@ def _adjunction_oracle(p, q):
 def test_lens_members_match_the_adjunction_oracle():
     for t in _lens_members():
         b, square, index, det = _adjunction_oracle(t.link.p, t.link.q)
-        assert t.known_dp_square == square, t.name
+        assert t.dp_square == square, t.name
         assert t.index == index, t.name
         assert t.det_r == det, t.name
-        assert t.curve_count == len(b), t.name
+        assert t.n == len(b), t.name
 
 
 def test_members_of_index_at_most_two_have_a_group_order():

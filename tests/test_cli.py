@@ -123,6 +123,14 @@ def test_embed_usage_error(capsys):
     assert "error" in err
 
 
+def test_embed_rejects_malformed_graphs(capsys):
+    code, out, err = run_cli(capsys, "embed", "--graphs", "-2;;-3", "--ambient", "4")
+    assert (code, out, err) == (2, "", "error: empty plumbing chain in --graphs\n")
+    code, out, err = run_cli(capsys, "embed", "--graphs", "-2,x", "--ambient", "4")
+    assert (code, out) == (2, "") and err.startswith("error: bad weight in --graphs: ")
+    assert err.count("\n") == 1
+
+
 def test_embed_cost_does_not_grow_with_ambient(capsys):
     # The search runs in rank sum(|w|) = 4, and the zeros past it never print.
     # The first run may also import qhpp.lattice, so the peak is checked on the second.
@@ -254,6 +262,11 @@ def test_linkform_fraction_errors(capsys):
         assert (code, out, err) == (2, "", message + "\n")
 
 
+def test_linkform_rejects_non_coprime_orders(capsys):
+    assert run_cli(capsys, "linkform", "--sum", "1/2,1/4") == (
+        2, "", "error: orders 2 and 4 are not coprime\n")
+
+
 def test_linkform_rejects_integers_past_the_conversion_limit(capsys):
     p = "9" * 4402
     for spec in (f"1/{p}", f"-{p}/7"):
@@ -274,11 +287,26 @@ def test_linkform_rejects_a_large_modulus_at_once(capsys):
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert (code, out) == (2, "")
-        assert err == (f"error: the composed modulus {modulus} exceeds the linkform "
-                       f"limit {limit}\n")
+        assert err == (f"error: the {len(str(modulus))}-digit composed modulus exceeds "
+                       f"the linkform limit {limit}\n")
         assert elapsed < 0.5 and peak < 1_000_000
     code, out, _ = run_cli(capsys, "linkform", "--sum", "1/4,1/9")
     assert code == 0 and "mod 36" in out
+
+
+def test_linkform_counts_the_digits_of_a_modulus_it_cannot_print(capsys):
+    # Each denominator has 3,001 digits, below the interpreter's 4,300-digit
+    # conversion limit; their product has 6,002, above it.
+    a, b = int("7" * 3000 + "1"), int("7" * 3000 + "3")
+    assert run_cli(capsys, "linkform", "--sum", f"1/{a},1/{b}") == (
+        2, "", f"error: the 6002-digit composed modulus exceeds the linkform limit "
+               f"{cli.MAX_LINKFORM_MODULUS}\n")
+    # Exact at the powers of ten, where the float logarithm may round.
+    for k in (7, 15, 16, 17, 300):
+        for modulus, digits in ((10 ** k - 1, k), (10 ** k, k + 1)):
+            code, _, err = run_cli(capsys, "linkform", "--sum", f"1/{modulus}")
+            assert (code, err) == (2, f"error: the {digits}-digit composed modulus exceeds "
+                                      f"the linkform limit {cli.MAX_LINKFORM_MODULUS}\n")
 
 
 def test_usage_errors(capsys):

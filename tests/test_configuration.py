@@ -24,8 +24,8 @@ def _member(draw):
 def _naive_K2(members):
     total = Fraction(9)
     for t in members:
-        total -= t.curve_count
-        total -= t.known_dp_square
+        total -= t.n
+        total -= t.dp_square
     return total
 
 
@@ -42,14 +42,14 @@ def test_derived_invariants_match_naive_fraction_sums(members):
     config = Configuration(members)
     # Members in any order give one configuration: the constructor sorts them.
     assert Configuration.from_tokens(" ".join(t.name for t in members)).members == config.members
-    if any(t.known_dp_square is None for t in members):
+    if any(t.dp_square is None for t in members):
         for name in ("K2", "D"):
             with pytest.raises(ValueError):
                 getattr(config, name)
     else:
         K2 = _naive_K2(members)
         assert type(config.K2) is Fraction and config.K2 == K2
-        assert type(config.D) is Fraction and config.D == K2 * math.prod(t.det_r for t in members)
+        assert type(config.D) is int and config.D == K2 * math.prod(t.det_r for t in members)
     if any(t.group_order is None for t in members):
         assert config.e_orb is None
     else:
@@ -64,6 +64,11 @@ def test_derived_invariants_known_values():
     with pytest.raises(ValueError):
         Configuration.from_tokens("D4(1) A1").K2
     assert Configuration.from_tokens("D5(2) A1").e_orb is None
+
+
+def test_empty_configuration_is_refused():
+    with pytest.raises(ValueError, match="at least one singularity"):
+        Configuration([])
 
 
 def test_name_compact_style():

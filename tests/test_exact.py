@@ -45,6 +45,14 @@ def test_hj_expand_rejects_bad_input():
         exact.hj_expand(9, 6)  # gcd 3
 
 
+def test_exact_helpers_reject_zero_and_floats():
+    for helper in (exact.factorize, exact.is_perfect_square):
+        with pytest.raises(ValueError):
+            helper(0)
+    with pytest.raises(TypeError):
+        exact.hj_expand(2.0, 1)
+
+
 def test_hj_value_rejects_bad_coefficients():
     with pytest.raises(ValueError):
         exact.hj_value([])

@@ -134,6 +134,26 @@ def test_link_d_invariants_en():
     assert floer.link_d_invariants(e8) == (F(2),)
 
 
+def test_link_d_invariants_of_lens_links_match_the_closed_form():
+    # d(L(p,1), i) = (p - (2i - p)^2) / (4p); the link of A_n is
+    # L(n+1, n) = -L(n+1, 1), so its values are the negated ones.
+    def closed_form(p, sign):
+        return tuple(sorted((sign * F(p - (2 * i - p) ** 2, 4 * p) for i in range(p)),
+                            reverse=True))
+
+    for n in range(1, 40):
+        assert floer.link_d_invariants(catalog.lookup("A", n)) == closed_form(n + 1, -1), n
+    # The links of A1(1) and A1(2) are L(3, 1) and L(6, 1) themselves.
+    assert floer.link_d_invariants(catalog.lookup("A(1)", 1)) == closed_form(3, 1)
+    assert floer.link_d_invariants(catalog.lookup("A(2)", 1)) == closed_form(6, 1)
+
+
+def test_link_d_invariants_of_a_tabulated_link_are_unavailable():
+    with pytest.raises(floer.SpinDataUnavailable) as exc:
+        floer.link_d_invariants(catalog.lookup("D(1)", 7))
+    assert str(exc.value) == "d-invariants of D7(1) are not tabulated"
+
+
 def test_d5_link_two_routes_agree():
     # The D5 link is the -4 surgery on the left trefoil; its spin values from
     # the surgery formula must match the D-series closed form n/4, (n - 4)/4.

@@ -105,6 +105,11 @@ def test_isomorphism_is_an_equivalence_relation():
                         assert linking.is_isomorphic(f, h)
 
 
+def test_isomorphism_of_different_orders_and_of_the_trivial_form():
+    assert not linking.is_isomorphic(F(1, 3), F(1, 4))
+    assert linking.is_isomorphic(F(0), F(0))
+
+
 def test_isomorphism_matches_the_square_root_table():
     # is_isomorphic scans for a root of the ratio; the oracle looks the ratio
     # up among the square units, each found with its gcd.

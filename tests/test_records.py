@@ -56,10 +56,10 @@ def _one_of_each_record():
         (catalog.LensLink(4, 1), "p"),
         (catalog.TrefoilSurgeryLink(-4), "framing"),
         (catalog.TabulatedLink("D7", frozenset({Fraction(7, 4), Fraction(3, 4)})), "spin_d"),
-        (catalog.lookup("A(1,2)", 2), "known_dp_square"),
+        (catalog.lookup("A(1,2)", 2), "dp_square"),
         (emb, "vectors"),
         (lattice.complement_witness(emb), "square"),
-        (report.candidates[0], "case"),
+        (report.candidates[0], "verdicts"),
         (ObstructionVerdict("bmy", Outcome.PASS, {}), "evidence"),
         (config, "members"),
         (report, "index"),

@@ -224,7 +224,7 @@ def test_classify_index3(classified):
         assert by_key[_key(tokens)].verdict("spin_sum").obstructed, tokens
     # Case 5 dies entirely at the square-D test.
     for r in report.candidates:
-        if r.case == 5:
+        if screening.index3_case(r.config) == 5:
             assert r.verdict("arithmetic").obstructed
 
 
@@ -265,6 +265,12 @@ def test_five_singularity_cap():
     for index in (2, 3):
         for config in screening.enumerate_candidates(index):
             assert len(config.members) <= 4
+
+
+def test_enumeration_rejects_other_indices():
+    for index in (0, 4):
+        with pytest.raises(ValueError, match="index must be 1, 2 or 3"):
+            screening.enumerate_candidates(index)
 
 
 def test_enumeration_is_deterministic():
