@@ -6,8 +6,10 @@ the order of H_1 of the singularity link), the local group order, the
 canonical-square correction of the resolution, the isomorphism type of H_1
 of the link, and the link: a lens space, a trefoil surgery, or a named
 Seifert manifold that carries its tabulated spin d-invariants.  Member n of
-a species has n exceptional curves in its minimal resolution.  Other modules
-branch on the kind of link, never on a species key.
+a species has n exceptional curves in its minimal resolution.  ``lookup``
+builds one record per (species, n) and the whole process shares it, so
+tokens and configurations that name a member hold the same object.  Other
+modules branch on the kind of link, never on a species key.
 
 Classification theorems that this package *imports* rather than derives
 (the Gorenstein 58-type list, the Alexeev-Nikulin index-two log del Pezzo
@@ -135,10 +137,14 @@ SPECIES = {
 }
 
 
+@lru_cache(maxsize=None, typed=True)
 def lookup(species: str, n: int) -> SingularityType:
-    """The fully populated invariant record for one singularity species.
-    Raises TypeError if n is not an integer."""
-    n = operator.index(n)
+    """The fully populated invariant record for one singularity species,
+    built once per process: every call with the same (species, n) returns
+    the same record.  Raises TypeError if n is not an integer; the cache
+    keys on argument types, so 2.0 is refused even after 2 was built."""
+    if type(n) is not int:
+        return lookup(species, operator.index(n))
     if species not in SPECIES:
         raise ValueError(f"unknown species {species!r}")
     index, least, greatest, member = SPECIES[species]

@@ -8,6 +8,8 @@ grounded at d(L(1,0), 0) = d(S^3) = 0, for L(p,q) oriented as -p/q surgery
 on the unknot.  Surgeries on the right-handed trefoil reduce to lens values
 through the mapping-cone surgery formula with V_0 = 1 and V_s = 0 for s > 0.
 Orientation reversal enters in exactly one place: d(-Y, s) = -d(Y, s).
+Each link's spin d-invariants are computed once per process, keyed on the
+link descriptor, and kept sorted together with their rendered strings.
 """
 
 from __future__ import annotations
@@ -114,15 +116,23 @@ def spin_d_invariants(t: SingularityType) -> frozenset[Fraction]:
     surgery formula at the spin labels of L(k, 1), whose spin-c labels it
     shares, and a tabulated link from its table entry, raising
     SpinDataUnavailable (never an empty set) where it has none."""
-    link = t.link
+    return frozenset(_spin_values(t.link)[0])
+
+
+@lru_cache(maxsize=None)
+def _spin_values(link) -> tuple[tuple[Fraction, ...], tuple[str, ...]]:
+    """The spin d-invariants of ``link`` in increasing order, and their strings."""
     if isinstance(link, LensLink):
-        return frozenset(d_lens(link.p, link.q, i) for i in spin_labels(link.p, link.q))
-    if isinstance(link, TrefoilSurgeryLink):
+        values = {d_lens(link.p, link.q, i) for i in spin_labels(link.p, link.q)}
+    elif isinstance(link, TrefoilSurgeryLink):
         k = -link.framing
-        return frozenset(-d_trefoil_surgery(k, i) for i in spin_labels(k, 1 % k))
-    if link.spin_d is None:
+        values = {-d_trefoil_surgery(k, i) for i in spin_labels(k, 1 % k)}
+    elif link.spin_d is None:
         raise SpinDataUnavailable(f"spin d-invariants of {link.name} are not tabulated")
-    return link.spin_d
+    else:
+        values = link.spin_d
+    values = tuple(sorted(values))
+    return values, tuple(map(str, values))
 
 
 def spin_sum_obstruction(config: Configuration) -> ObstructionVerdict:
@@ -141,20 +151,18 @@ def spin_sum_obstruction(config: Configuration) -> ObstructionVerdict:
             {"h1_product": config.h1_product},
             note="product of link homology orders is odd",
         )
-    value_sets = []
     try:
-        for t in config.members:
-            value_sets.append(sorted(spin_d_invariants(t)))
+        value_sets = [_spin_values(t.link) for t in config.members]
     except SpinDataUnavailable as exc:
         return ObstructionVerdict(
             name, Outcome.NOT_APPLICABLE,
             {"h1_product": config.h1_product, "unavailable": str(exc)},
             note="spin d-invariant data unavailable; no verdict",
         )
-    per_member = [[t.name, [str(v) for v in vals]]
-                  for t, vals in zip(config.members, value_sets)]
-    den = math.lcm(SPIN_SUM_TARGET.denominator, *(v.denominator for vs in value_sets for v in vs))
-    scaled = [[v.numerator * (den // v.denominator) for v in vals] for vals in value_sets]
+    per_member = [[t.name, list(strs)] for t, (_, strs) in zip(config.members, value_sets)]
+    den = math.lcm(SPIN_SUM_TARGET.denominator,
+                   *(v.denominator for vs, _ in value_sets for v in vs))
+    scaled = [[v.numerator * (den // v.denominator) for v in vals] for vals, _ in value_sets]
     target = int(SPIN_SUM_TARGET * den)
     sums = sorted(set(map(sum, product(*scaled))))
     evidence = {
@@ -164,7 +172,7 @@ def spin_sum_obstruction(config: Configuration) -> ObstructionVerdict:
         "target": str(SPIN_SUM_TARGET),
     }
     if target in sums:
-        choices = zip(product(*scaled), product(*(strs for _, strs in per_member)))
+        choices = zip(product(*scaled), product(*(strs for _, strs in value_sets)))
         evidence["witness"] = next(list(strs) for ints, strs in choices if sum(ints) == target)
         return ObstructionVerdict(name, Outcome.PASS, evidence)
     return ObstructionVerdict(name, Outcome.OBSTRUCTED, evidence)

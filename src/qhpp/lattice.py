@@ -47,6 +47,8 @@ integer and checks it at each charge, before the values are tried, so an
 exhausted budget raises ResourceBudgetExceeded, never a silent truncation,
 after work proportional to the budget.  Fresh shapes are memoized, and the
 units of their search are charged in full at each use, as if searched anew.
+The filling chain of each reversed lens link is computed once per process,
+keyed on the lens (p, q); no embedding or orbit is memoized.
 
 At corank one a test over the rationals comes first.  An embedding of L into
 -Z^(n+1), n = rank L, splits Q^(n+1) as L + <w>, and determinants give
@@ -113,7 +115,11 @@ def plumbing_for_reversed_link(t: SingularityType) -> tuple[int, ...]:
     link of t: -L(p,q) bounds the linear plumbing on -hj_expand(p, p-q)."""
     if not isinstance(t.link, LensLink):
         raise ValueError(f"the link of {t.name} is not a lens space")
-    p, q = t.link.p, t.link.q
+    return _reversed_chain(*t.link)
+
+
+@lru_cache(maxsize=None)
+def _reversed_chain(p: int, q: int) -> tuple[int, ...]:
     return tuple(-a for a in hj_expand(p, p - q))
 
 

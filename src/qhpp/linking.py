@@ -6,13 +6,15 @@ denominator is the group order n (c is a unit mod n; the trivial group
 carries 0).  Two forms c/n and c'/n are isomorphic exactly when
 c' = c u^2 (mod n) for a unit u.  The lens space L(p,q) carries the form
 q/p, a +k surgery on any knot carries -1/k, and the form of an orientation
-reversal is the negation.
+reversal is the negation.  ``reversed_link_form`` computes each link's form
+once per process, keyed on the link descriptor (not on the member record).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from . import exact
 from .catalog import LensLink, SingularityType, TrefoilSurgeryLink
@@ -29,7 +31,11 @@ __all__ = [
 
 def reversed_link_form(t: SingularityType) -> Fraction | None:
     """Linking form of the orientation-reversed link of t, or None if unknown."""
-    link = t.link
+    return _reversed_form(t.link)
+
+
+@lru_cache(maxsize=None)
+def _reversed_form(link) -> Fraction | None:
     if isinstance(link, LensLink):
         # The negation of q/p, the form of L(p, q).
         return Fraction(link.p - link.q, link.p)

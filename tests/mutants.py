@@ -72,6 +72,14 @@ MUTANTS = (
     Mutant("k2-reads-a-missing-correction", "configuration.py",
            "if t.dp_square is None:", "if False:",
            ("tests/test_catalog.py::test_d4_index3_dp_square_is_a_hard_error",)),
+    Mutant("spin-strings-in-set-order", "floer.py",
+           "return values, tuple(map(str, values))", "return values, tuple(map(str, set(values)))",
+           ("tests/test_memo.py::test_memos_equal_direct_computations",)),
+    Mutant("spin-witness-by-rendered-order", "floer.py",
+           "choices = zip(product(*scaled), product(*(strs for _, strs in value_sets)))",
+           "choices = sorted(zip(product(*scaled), product(*(strs for _, strs in value_sets))),"
+           " key=lambda c: (sum(c[0]), c[1]))",
+           ("tests/test_floer.py::test_spin_witness_is_the_first_choice_in_product_order",)),
 )
 
 

@@ -252,6 +252,21 @@ def test_spin_sum_pass_cases():
         assert "witness" in verdict.evidence
 
 
+def test_spin_witness_is_the_first_choice_in_product_order():
+    # Two choices attain 1/4.  In product order over the increasing values
+    # the first is (3/4, 3/4, -5/4); ranked by their rendered strings,
+    # "11/4" < "3/4" would put (11/4, -5/4, -5/4) first.
+    config = _config("A15(1,1) A3(2,2) A1(2)")
+    evidence = floer.spin_sum_obstruction(config).evidence
+    assert evidence["per_member"] == [["A15(1,1)", ["3/4", "11/4"]],
+                                      ["A3(2,2)", ["-5/4", "3/4"]],
+                                      ["A1(2)", ["-5/4", "1/4"]]]
+    hits = [strs for strs in itertools.product(*(vals for _, vals in evidence["per_member"]))
+            if sum(map(Fraction, strs)) == Fraction(1, 4)]
+    assert hits == [("3/4", "3/4", "-5/4"), ("11/4", "-5/4", "-5/4")]
+    assert evidence["witness"] == ["3/4", "3/4", "-5/4"]
+
+
 def test_spin_sum_not_applicable_cases():
     # Odd product: the spin condition does not apply.
     v = floer.spin_sum_obstruction(_config("A1(1) A6"))
