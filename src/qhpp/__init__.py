@@ -5,7 +5,8 @@ Importing the package loads none of its modules: each loads on first use,
 whether through ``import qhpp.lattice``, ``from qhpp import lattice`` or the
 attribute ``qhpp.lattice``, so a command pays only for the code it runs."""
 
-__all__ = ["catalog", "configuration", "exact", "floer", "lattice", "linking", "screening"]
+__all__ = ["catalog", "configuration", "exact", "floer", "lattice", "linking", "report",
+           "screening"]
 
 
 def __getattr__(name):

@@ -10,7 +10,8 @@ Verbs map one-to-one onto library entry points:
     candidates  enumerated configurations with L, K^2, D
 
 Exit codes: 0 on success, 1 on runtime failures such as an exhausted search
-budget, 2 on usage errors.  Output is deterministic byte-for-byte.
+budget or a reader that closed stdout, 2 on usage errors.  Output is
+deterministic byte-for-byte.
 
 Each verb imports the modules it runs inside its handler, so a command loads
 only its own code on top of ``catalog``, ``configuration`` and ``exact``.
@@ -20,20 +21,23 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
-from . import catalog, exact
+from . import catalog
 from .configuration import DEFAULT_BUDGET, Outcome, ResourceBudgetExceeded
-
-if TYPE_CHECKING:
-    from . import screening
 
 __all__ = ["main"]
 
-_SHORT = {Outcome.PASS: "pass", Outcome.OBSTRUCTED: "OBSTRUCTED", Outcome.NOT_APPLICABLE: "n/a"}
+
+def __getattr__(name):
+    # The renderers live in qhpp.report; bench/traced_cli.py reads them here.
+    if name in ("report_to_json", "report_to_markdown"):
+        from . import report
+        return getattr(report, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -60,89 +64,17 @@ def _format_vector(vec) -> str:
     return "".join(parts) or "0"
 
 
-_ROW_HEADERS = ["Type", "L", "K^2", "D"]
-
-
-def _row(config) -> list:
-    """The columns Type, L, K^2 and D of a configuration, with D factored
-    when it is positive."""
-    d = config.D
-    return [config.name, config.L, str(config.K2), exact.factor_string(d) if d > 0 else str(d)]
-
-
-def _markdown_table(headers, rows) -> str:
-    out = ["| " + " | ".join(headers) + " |",
-           "| " + " | ".join("---" for _ in headers) + " |"]
-    for row in rows:
-        out.append("| " + " | ".join(str(x) for x in row) + " |")
-    return "\n".join(out)
-
-
 # --------------------------------------------------------------------------
 # classify
 # --------------------------------------------------------------------------
 
-def _candidate_json(report: screening.ClassificationReport,
-                    r: screening.CandidateReport) -> dict:
-    from . import screening
-    c = r.config
-    d = c.D
-    entry = {
-        "type": c.name,
-        "members": [t.name for t in c.members],
-        "L": c.L,
-        "K2": str(c.K2),
-        "D": str(d),
-        "verdicts": [v.to_json() for v in r.verdicts],
-        "survived": r.survived,
-    }
-    if d > 0:
-        entry["D_factored"] = exact.factor_string(d)
-    if report.index == 3:
-        entry["case"] = screening.index3_case(c)
-    if r.survived:
-        entry["realizable"] = report.is_realizable(c)
-    return entry
-
-
-def report_to_json(report: screening.ClassificationReport) -> dict:
-    return {
-        "index": report.index,
-        "candidates": [_candidate_json(report, r) for r in report.candidates],
-        "survivors": [r.config.name for r in report.survivors],
-        "unmarked_survivors": [c.name for c in report.unmarked_survivors],
-        "cross_checks": report.cross_checks,
-    }
-
-
-def report_to_markdown(report: screening.ClassificationReport) -> str:
-    from . import screening
-    headers = _ROW_HEADERS + [f.name for f in screening.FILTERS]
-    rows = [_row(r.config) + [_SHORT[v.outcome] for v in r.verdicts]
-            for r in report.candidates]
-    lines = [f"# Screening report, index {report.index}", ""]
-    lines.append(_markdown_table(headers, rows))
-    lines.append("")
-    lines.append("Survivors: " + ", ".join(r.config.name for r in report.survivors))
-    realized = [r.config.name for r in report.survivors if report.is_realizable(r.config)]
-    lines.append("Realizable: " + ", ".join(realized))
-    open_cases = [c.name for c in report.unmarked_survivors]
-    lines.append("Open (no imported realization): "
-                 + (", ".join(open_cases) if open_cases else "none"))
-    checks = report.cross_checks
-    lines.append("Every realizable type survives: "
-                 + ("yes" if checks["every_realizable_type_survives"] else "NO"))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_classify(args) -> int:
-    from . import screening
-    report = screening.classify(args.index, budget=args.budget)
+    from . import report, screening
+    classified = screening.classify(args.index, budget=args.budget)
     if args.format == "json":
-        import json
-        print(json.dumps(report_to_json(report), indent=2, sort_keys=True))
+        report.write_json(report.report_to_json(classified), sys.stdout.write)
     else:
-        print(report_to_markdown(report), end="")
+        print(report.report_to_markdown(classified), end="")
     return 0
 
 
@@ -155,6 +87,7 @@ TABLE_IDS = ("index2-D", "index3-case1", "index3-case2", "index3-case3", "index3
 
 def _cmd_table(args) -> int:
     from . import screening
+    from .report import ROW_HEADERS, config_row, markdown_table
     if args.id == "index2-D":
         rows = []
         for config in screening.enumerate_candidates(2):
@@ -163,14 +96,14 @@ def _cmd_table(args) -> int:
                 rows.append([config.name, verdict.evidence["factorization"]])
         print(f"# Index-two types eliminated by the square-D test ({len(rows)} rows)")
         print()
-        print(_markdown_table(["Type", "D"], rows))
+        print(markdown_table(["Type", "D"], rows))
         return 0
     case = int(args.id[-1])
-    rows = [_row(config) + ["" if screening.arithmetic_filter(config).obstructed else "yes"]
+    rows = [config_row(config) + ["" if screening.arithmetic_filter(config).obstructed else "yes"]
             for config in screening.enumerate_index3_case(case)]
     print(f"# Index-three case {case} candidates ({len(rows)} rows)")
     print()
-    print(_markdown_table(_ROW_HEADERS + ["D square"], rows))
+    print(markdown_table(ROW_HEADERS + ["D square"], rows))
     return 0
 
 
@@ -333,14 +266,15 @@ def _cmd_linkform(args) -> int:
 
 def _cmd_candidates(args) -> int:
     from . import screening
-    headers = (["Case"] if args.index == 3 else []) + _ROW_HEADERS
+    from .report import ROW_HEADERS, config_row, markdown_table
+    headers = (["Case"] if args.index == 3 else []) + ROW_HEADERS
     rows = []
     for config in screening.enumerate_candidates(args.index):
         case = [screening.index3_case(config)] if args.index == 3 else []
-        rows.append(case + _row(config))
+        rows.append(case + config_row(config))
     print(f"# Candidate configurations, index {args.index} ({len(rows)} rows)")
     print()
-    print(_markdown_table(headers, rows))
+    print(markdown_table(headers, rows))
     return 0
 
 
@@ -419,12 +353,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at the null device, so that the
+        # flush at shutdown does not raise again (Python docs, "Note on SIGPIPE").
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

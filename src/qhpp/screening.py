@@ -38,6 +38,7 @@ __all__ = [
     "CandidateReport",
     "ClassificationReport",
     "classify",
+    "realizable",
     "replay_verdict",
 ]
 
@@ -327,8 +328,12 @@ def classify(index: int, budget: int = DEFAULT_BUDGET) -> ClassificationReport:
     """Screen every candidate of the given index and assemble the report."""
     reports = tuple(CandidateReport(config, screen(config, budget))
                     for config in enumerate_candidates(index))
-    realizable = tuple(map(Configuration, catalog.imported(f"realizable_index{index}")))
-    return ClassificationReport(index, reports, realizable)
+    return ClassificationReport(index, reports, realizable(index))
+
+
+def realizable(index: int) -> tuple[Configuration, ...]:
+    """The configurations of the imported realizable list of one index."""
+    return tuple(map(Configuration, catalog.imported(f"realizable_index{index}")))
 
 
 def replay_verdict(config: Configuration, verdict: ObstructionVerdict) -> bool:

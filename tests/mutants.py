@@ -80,6 +80,9 @@ MUTANTS = (
            "choices = sorted(zip(product(*scaled), product(*(strs for _, strs in value_sets))),"
            " key=lambda c: (sum(c[0]), c[1]))",
            ("tests/test_floer.py::test_spin_witness_is_the_first_choice_in_product_order",)),
+    Mutant("json-keys-in-insertion-order", "report.py",
+           "for k, x in sorted(v.items()))", "for k, x in v.items())",
+           ("tests/test_report.py::test_writer_matches_json_dumps_on_reports",)),
 )
 
 

@@ -362,10 +362,14 @@ VERB_MODULES = {
     "dinv --lens 4,1": {"floer"},
     "linkform --sum K1,E6": {"linking"},
     "embed --graphs -2,-10,-2 --ambient 4": {"lattice"},
-    "table --id index3-case4": {"screening"},
-    "candidates --index 3": {"screening"},
-    "classify --index 1 --format md": {"screening", "lattice", "linking", "floer"},
+    "table --id index3-case4": {"screening", "report"},
+    "candidates --index 3": {"screening", "report"},
+    "classify --index 1 --format md": {"screening", "lattice", "linking", "floer", "report"},
+    "classify --index 1 --format json": {"screening", "lattice", "linking", "floer", "report"},
 }
+
+# The one command that loads json: its writer quotes through json.encoder.
+WRITES_JSON = "classify --index 1 --format json"
 
 _IMPORT_PROBE = """
 import contextlib, io, sys
@@ -385,8 +389,9 @@ READS_NO_LIST = {"", "dinv --lens 4,1", "linkform --sum K1,E6",
 
 def test_each_verb_imports_only_its_modules():
     # Every cold start pays for what it imports, so a command loads only the
-    # modules its verb runs, and none loads dataclasses, json or numpy.  The
-    # interpreter runs without site, so the set counts qhpp's imports alone.
+    # modules its verb runs, none loads dataclasses or numpy, and only the
+    # JSON report loads json.  The interpreter runs without site, so the set
+    # counts qhpp's imports alone.
     env = _fresh_interpreter_env()
     base = {"qhpp", "qhpp.cli", "qhpp.catalog", "qhpp.configuration", "qhpp.exact"}
     for command, own in VERB_MODULES.items():
@@ -395,8 +400,36 @@ def test_each_verb_imports_only_its_modules():
                                     check=True).stdout.split())
         assert {m for m in loaded if m.split(".")[0] == "qhpp"} == \
             base | {f"qhpp.{m}" for m in own}, command
-        assert not loaded & {"dataclasses", "json", "numpy"}, command
+        assert not loaded & {"dataclasses", "numpy"}, command
+        assert ("json.encoder" in loaded) == ("json" in loaded) == (command == WRITES_JSON), \
+            command
         assert command not in READS_NO_LIST or "importlib.resources" not in loaded, command
+
+
+def test_the_command_module_is_compiled_once():
+    # Under `python -m qhpp.cli` the command module runs as __main__; were any
+    # module it loads to import qhpp.cli, cli.py would be compiled and run again.
+    err = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "qhpp.cli",
+                          "classify", "--index", "1", "--format", "json"],
+                         capture_output=True, text=True, env=_fresh_interpreter_env(),
+                         check=True).stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+                if line.startswith("import time:")]
+    assert "json.encoder" in imported
+    assert "qhpp.cli" not in imported
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # The index-3 report is larger than a pipe holds, so the command is still
+    # writing when the reader goes away.
+    proc = subprocess.Popen([sys.executable, "-m", "qhpp.cli", "classify", "--index", "3",
+                             "--format", "json"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_fresh_interpreter_env())
+    assert proc.stdout.read(10) == b'{\n  "candi'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 _LOAD_LIST_PROBE = """

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from qhpp import catalog, cli, floer, lattice, linking, screening
+from qhpp import catalog, floer, lattice, linking, report, screening
 from qhpp.catalog import LensLink, TrefoilSurgeryLink
 from qhpp.configuration import DEFAULT_BUDGET, Configuration, Outcome
 
@@ -166,7 +166,7 @@ def test_replay_does_not_depend_on_call_history(classified, tmp_path):
     paths = []
     for index in (1, 2, 3):
         path = tmp_path / f"report{index}.json"
-        path.write_text(json.dumps(cli.report_to_json(classified(index))))
+        path.write_text(json.dumps(report.report_to_json(classified(index))))
         paths.append(str(path))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
