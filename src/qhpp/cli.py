@@ -9,6 +9,10 @@ Verbs map one-to-one onto library entry points:
     linkform    compose linking forms and run the square-unit test
     candidates  enumerated configurations with L, K^2, D
 
+A flag is written in full or as a unique prefix (``--ind 3``), and takes its
+value as ``--flag value`` or ``--flag=value``; the value may start with '-'
+(``--graphs -2,-10,-2``).  ``-h`` or ``--help`` prints the usage and exits 0.
+
 Exit codes: 0 on success, 1 on runtime failures such as an exhausted search
 budget or a reader that closed stdout, 2 on usage errors.  Output is
 deterministic byte-for-byte.
@@ -19,12 +23,12 @@ only its own code on top of ``catalog``, ``configuration`` and ``exact``.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import catalog
 from .configuration import DEFAULT_BUDGET, Outcome, ResourceBudgetExceeded
@@ -41,7 +45,7 @@ def __getattr__(name):
 
 
 class UsageError(Exception):
-    pass
+    """A usage error: its message, then the command that reports it, if any."""
 
 
 def _parse_int(digits: str) -> int:
@@ -64,10 +68,6 @@ def _format_vector(vec) -> str:
     return "".join(parts) or "0"
 
 
-# --------------------------------------------------------------------------
-# classify
-# --------------------------------------------------------------------------
-
 def _cmd_classify(args) -> int:
     from . import report, screening
     classified = screening.classify(args.index, budget=args.budget)
@@ -77,10 +77,6 @@ def _cmd_classify(args) -> int:
         print(report.report_to_markdown(classified), end="")
     return 0
 
-
-# --------------------------------------------------------------------------
-# table
-# --------------------------------------------------------------------------
 
 TABLE_IDS = ("index2-D", "index3-case1", "index3-case2", "index3-case3", "index3-case4")
 
@@ -106,10 +102,6 @@ def _cmd_table(args) -> int:
     print(markdown_table(ROW_HEADERS + ["D square"], rows))
     return 0
 
-
-# --------------------------------------------------------------------------
-# embed
-# --------------------------------------------------------------------------
 
 def _parse_graphs(spec: str) -> list[tuple[int, ...]]:
     chains = []
@@ -153,10 +145,6 @@ def _cmd_embed(args) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------
-# dinv
-# --------------------------------------------------------------------------
-
 # Without --spin, dinv prints (and memoizes) one value per spin-c label.
 MAX_DINV_LABELS = 10_000
 
@@ -182,10 +170,6 @@ def _cmd_dinv(args) -> int:
         print(f"  label {i:>3}: {value}")
     return 0
 
-
-# --------------------------------------------------------------------------
-# linkform
-# --------------------------------------------------------------------------
 
 _FRACTION_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 
@@ -260,10 +244,6 @@ def _cmd_linkform(args) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------
-# candidates
-# --------------------------------------------------------------------------
-
 def _cmd_candidates(args) -> int:
     from . import screening
     from .report import ROW_HEADERS, config_row, markdown_table
@@ -278,86 +258,106 @@ def _cmd_candidates(args) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------
-# entry point
-# --------------------------------------------------------------------------
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qhpp",
-        description="Exact screening of quotient-singularity configurations "
-                    "on rational homology projective planes.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def budget(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
-        return value
-
-    p = sub.add_parser("classify", help="run the full screening pipeline for one index")
-    p.add_argument("--index", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--format", choices=("md", "json"), default="md")
-    p.add_argument("--budget", type=budget, default=DEFAULT_BUDGET,
-                   help="extension budget for embedding searches")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("table", help="print one of the D tables")
-    p.add_argument("--id", choices=TABLE_IDS, required=True)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("embed", help="enumerate lattice embedding orbits")
-    p.add_argument("--graphs", required=True,
-                   help="semicolon-separated chains of comma-separated "
-                        "negative weights, e.g. '-2,-10,-2' or '-2,-2,-2;-9'")
-    p.add_argument("--ambient", type=int, required=True)
-    p.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
-    p.set_defaults(func=_cmd_embed)
-
-    p = sub.add_parser("dinv", help="lens-space d-invariants")
-    p.add_argument("--lens", required=True, help="'p,q' for the lens space L(p,q)")
-    p.add_argument("--spin", action="store_true",
-                   help="restrict to the spin structures")
-    p.set_defaults(func=_cmd_dinv)
-
-    p = sub.add_parser("linkform", help="compose linking forms and test the boundary class")
-    p.add_argument("--sum", required=True,
-                   help="comma-separated forms 'c/n' or singularity tokens "
-                        "(token X contributes the form of the reversed link of X)")
-    p.set_defaults(func=_cmd_linkform)
-
-    p = sub.add_parser("candidates", help="list enumerated candidate configurations")
-    p.add_argument("--index", type=int, choices=(1, 2, 3), required=True)
-    p.set_defaults(func=_cmd_candidates)
-    return parser
+def budget(text: str) -> int:
+    # Named so that text which is no integer reads "invalid budget value".
+    value = int(text)
+    if value < 1:
+        raise UsageError(f"budget must be at least 1, got {value}")
+    return value
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
-    # Values of these flags legitimately start with '-'; fold them into
-    # '--flag=value' form so argparse does not mistake them for options.
-    out, args = [], iter(argv)
-    for arg in args:
-        value = next(args, None) if arg in ("--graphs", "--sum") else None
-        out.append(arg if value is None else f"{arg}={value}")
-    return out
+REQUIRED = object()
+
+# Each verb's handler and flags.  A flag maps to its converter and default:
+# the converter is a function, the tuple of the values the flag takes (whose
+# type converts the text first, so --index 01 means 1), or None for a switch.
+VERBS = {
+    "classify": (_cmd_classify, {"--index": ((1, 2, 3), REQUIRED),
+                                 "--format": (("md", "json"), "md"),
+                                 "--budget": (budget, DEFAULT_BUDGET)}),
+    "table": (_cmd_table, {"--id": (TABLE_IDS, REQUIRED)}),
+    "embed": (_cmd_embed, {"--graphs": (str, REQUIRED), "--ambient": (int, REQUIRED),
+                           "--budget": (budget, DEFAULT_BUDGET)}),
+    "dinv": (_cmd_dinv, {"--lens": (str, REQUIRED), "--spin": (None, False)}),
+    "linkform": (_cmd_linkform, {"--sum": (str, REQUIRED)}),
+    "candidates": (_cmd_candidates, {"--index": ((1, 2, 3), REQUIRED)}),
+}
+
+
+def _usage(verb: str) -> str:
+    words = []
+    for flag, (convert, default) in VERBS[verb][1].items():
+        if convert is not None:
+            flag += " " + ("{%s}" % ",".join(map(str, convert)) if isinstance(convert, tuple)
+                           else flag[2:].upper())
+        words.append(flag if default is REQUIRED else f"[{flag}]")
+    return f"usage: qhpp {verb} [-h] " + " ".join(words)
+
+
+def _convert(flag: str, convert, text: str, prog: str):
+    kind = type(convert[0]) if isinstance(convert, tuple) else convert
+    try:
+        value = kind(text)
+    except (ValueError, UsageError) as exc:
+        message = exc if isinstance(exc, UsageError) else f"invalid {kind.__name__} value: {text!r}"
+        raise UsageError(f"argument {flag}: {message}", prog) from None
+    if isinstance(convert, tuple) and value not in convert:
+        raise UsageError(f"argument {flag}: invalid choice: {value!r} (choose from "
+                         f"{', '.join(map(repr, convert))})", prog)
+    return value
+
+
+def _parse(argv: list[str]):
+    """The handler and options that argv names, or None once -h or --help has
+    printed the usage.  A flag is named in full or by a unique prefix, and
+    takes the text after '=' or else the next token, even one that starts
+    with '-'.  Errors are worded as the standard library's argparse words them."""
+    verb = argv[0] if argv else ""
+    handler, flags = VERBS.get(verb, (None, {}))
+    prog = f"qhpp {verb}" if handler else "qhpp"
+    args = {flag[2:]: default for flag, (_, default) in flags.items()}
+    tokens, extras = iter(argv[1:] if handler else argv[:1]), []
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        found = [f for f in (*flags, "--help") if len(name) > 2 and f.startswith(name)]
+        flag = found[0] if len(found) == 1 else name
+        convert, _ = flags.get(flag, (None, None))
+        if flag in ("-h", "--help") and not eq:
+            print("\n".join(map(_usage, [verb] if handler else VERBS)))
+            return None
+        if flag not in flags:
+            extras.append(token)
+        elif convert is None and eq:
+            raise UsageError(f"argument {flag}: ignored explicit argument {text!r}", prog)
+        elif convert is None:
+            args[flag[2:]] = True
+        elif not eq and (text := next(tokens, None)) is None:
+            raise UsageError(f"argument {flag}: expected one argument", prog)
+        else:
+            args[flag[2:]] = _convert(flag, convert, text, prog)
+    if not handler:
+        raise UsageError(f"argument verb: invalid choice: {verb!r} (choose from "
+                         f"{', '.join(map(repr, VERBS))})" if verb[:1] not in ("", "-")
+                         else "the following arguments are required: verb", prog)
+    missing = ", ".join(f"--{name}" for name, value in args.items() if value is REQUIRED)
+    if missing:
+        raise UsageError(f"the following arguments are required: {missing}", prog)
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}", "qhpp")
+    return handler, SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _join_negative_values(list(argv))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        code = args.func(args)
+        parsed = _parse(sys.argv[1:] if argv is None else list(argv))
+        if parsed is None:
+            return 0
+        code = parsed[0](parsed[1])
         sys.stdout.flush()
         return code
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message, *prog = exc.args
+        print(*prog, f"error: {message}", sep=": ", file=sys.stderr)
         return 2
     except ResourceBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

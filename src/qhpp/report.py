@@ -95,6 +95,7 @@ def write_json(value, write) -> None:
     with str keys, lists, str, int, bool and None are written; anything else
     raises ``TypeError``."""
     from json.encoder import encode_basestring_ascii as quote
+    out = []
 
     def scalar(v) -> str:
         if isinstance(v, str):
@@ -103,43 +104,38 @@ def write_json(value, write) -> None:
             return "null" if v is None else "true" if v else "false"
         if isinstance(v, int):
             return int.__repr__(v)
+        if isinstance(v, (list, dict)):  # empty
+            return "[]" if isinstance(v, list) else "{}"
         raise TypeError(f"{type(v).__name__} {v!r:.40} is not written as JSON")
 
-    def pieces(v, indent, split):
-        # With split set, None follows each list item that is a list or dict.
-        if not isinstance(v, (list, dict)):
-            yield scalar(v)
-            return
+    def put(v, indent, split):
+        # Appends the text of a non-empty list or dict to out, one piece per
+        # item; with split set, flushes out after each list or dict item of a list.
         is_list = isinstance(v, list)
-        brackets = "[]" if is_list else "{}"
-        if not v:
-            yield brackets
-            return
         inner = indent + "  "
+        sep = ("[\n" if is_list else "{\n") + inner
         # quote raises TypeError on a key that is not a str.
-        items = (("", x) for x in v) if is_list else (
-            (quote(k) + ": ", x) for k, x in sorted(v.items()))
-        sep = brackets[0] + "\n"
-        for key, item in items:
-            head, sep = sep + inner + key, ",\n"
-            if not isinstance(item, (list, dict)):
-                yield head + scalar(item)
-            elif split and is_list:
-                yield head + "".join(pieces(item, inner, False))
-                yield None
+        for item in v if is_list else sorted(v.items()):
+            if not is_list:
+                sep += quote(item[0]) + ": "
+                item = item[1]
+            if not (isinstance(item, (list, dict)) and item):
+                out.append(sep + scalar(item))
             else:
-                yield head
-                yield from pieces(item, inner, split)
-        yield "\n" + indent + brackets[1]
+                out.append(sep)
+                put(item, inner, split and not is_list)
+                if split and is_list:
+                    write("".join(out))
+                    out.clear()
+            sep = ",\n" + inner
+        out.append("\n" + indent + ("]" if is_list else "}"))
 
-    chunk = []
-    for piece in pieces(value, "", True):
-        if piece is None:
-            write("".join(chunk))
-            chunk.clear()
-        else:
-            chunk.append(piece)
-    write("".join(chunk) + "\n")
+    if isinstance(value, (list, dict)) and value:
+        put(value, "", True)
+    else:
+        out.append(scalar(value))
+    out.append("\n")
+    write("".join(out))
 
 
 def _refuse(token: str):

@@ -81,8 +81,15 @@ MUTANTS = (
            " key=lambda c: (sum(c[0]), c[1]))",
            ("tests/test_floer.py::test_spin_witness_is_the_first_choice_in_product_order",)),
     Mutant("json-keys-in-insertion-order", "report.py",
-           "for k, x in sorted(v.items()))", "for k, x in v.items())",
+           "for item in v if is_list else sorted(v.items()):",
+           "for item in v if is_list else v.items():",
            ("tests/test_report.py::test_writer_matches_json_dumps_on_reports",)),
+    Mutant("budget-accepts-zero", "cli.py",
+           "if value < 1:", "if value < 0:",
+           ("tests/test_cli.py::test_budget_below_one_is_a_usage_error",)),
+    Mutant("json-flushed-only-at-the-end", "report.py",
+           "if split and is_list:", "if False:",
+           ("tests/test_report.py::test_writer_writes_one_candidate_per_call_in_little_memory",)),
 )
 
 

@@ -316,6 +316,98 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "table", "--id", "nope")[0] == 2
 
 
+# The error line of each usage error, as the argparse front end worded it;
+# each exits 2, prints nothing on stdout and this one line on stderr.
+_VERBS = "'classify', 'table', 'embed', 'dinv', 'linkform', 'candidates'"
+USAGE_ERRORS = {
+    "": "qhpp: error: the following arguments are required: verb",
+    "frobnicate": f"qhpp: error: argument verb: invalid choice: 'frobnicate' (choose from {_VERBS})",
+    "-x": "qhpp: error: the following arguments are required: verb",
+    "classify": "qhpp classify: error: the following arguments are required: --index",
+    "embed --ambient 4": "qhpp embed: error: the following arguments are required: --graphs",
+    "classify --index 4": "qhpp classify: error: argument --index: invalid choice: 4 "
+                          "(choose from 1, 2, 3)",
+    "classify --index -1": "qhpp classify: error: argument --index: invalid choice: -1 "
+                           "(choose from 1, 2, 3)",
+    "classify --index 1_0": "qhpp classify: error: argument --index: invalid choice: 10 "
+                            "(choose from 1, 2, 3)",
+    "candidates --index x": "qhpp candidates: error: argument --index: invalid int value: 'x'",
+    "classify --index 1 --format xml": "qhpp classify: error: argument --format: invalid "
+                                       "choice: 'xml' (choose from 'md', 'json')",
+    "table --id nope": "qhpp table: error: argument --id: invalid choice: 'nope' (choose from "
+                       "'index2-D', 'index3-case1', 'index3-case2', 'index3-case3', "
+                       "'index3-case4')",
+    "classify --index": "qhpp classify: error: argument --index: expected one argument",
+    "linkform --sum": "qhpp linkform: error: argument --sum: expected one argument",
+    "embed --graphs": "qhpp embed: error: argument --graphs: expected one argument",
+    "classify --index 1 --bogus": "qhpp: error: unrecognized arguments: --bogus",
+    "classify --index 1 --bogus 3": "qhpp: error: unrecognized arguments: --bogus 3",
+    "dinv extra --lens 4,1": "qhpp: error: unrecognized arguments: extra",
+    "dinv --lens 4,1 --spin=1": "qhpp dinv: error: argument --spin: ignored explicit argument '1'",
+    "embed --graphs -9 --ambient x": "qhpp embed: error: argument --ambient: invalid int value: 'x'",
+    "classify --index 1 --budget 0": "qhpp classify: error: argument --budget: budget must be "
+                                     "at least 1, got 0",
+    "classify --index 1 --budget x": "qhpp classify: error: argument --budget: invalid budget "
+                                     "value: 'x'",
+    "classify --index 1 --budget 1e3": "qhpp classify: error: argument --budget: invalid budget "
+                                       "value: '1e3'",
+    "candidates --index 9 -h": "qhpp candidates: error: argument --index: invalid choice: 9 "
+                               "(choose from 1, 2, 3)",
+}
+
+
+def test_usage_errors_keep_their_wording(capsys):
+    for command, line in USAGE_ERRORS.items():
+        assert run_cli(capsys, *command.split()) == (2, "", line + "\n"), command
+
+
+# Spellings that the argparse front end accepted, each with the command
+# whose stdout it prints.
+SAME_AS = {
+    "candidates --index=1": "candidates --index 1",
+    "candidates --ind 1": "candidates --index 1",
+    "candidates --index 01": "candidates --index 1",
+    "candidates --index +1": "candidates --index 1",
+    "candidates --index 3 --index 1": "candidates --index 1",
+    "table --id=index2-D": "table --id index2-D",
+    "embed --graphs=-2,-10,-2 --ambient=4": "embed --graphs -2,-10,-2 --ambient 4",
+    "embed --ambient 4 --graphs -2,-10,-2": "embed --graphs -2,-10,-2 --ambient 4",
+    "dinv --spin --lens 4,1": "dinv --lens 4,1 --spin",
+    "dinv --lens 4,1 --sp": "dinv --lens 4,1 --spin",
+    "linkform --sum=-1/4,1/9": "linkform --sum -1/4,1/9",
+}
+
+
+def test_option_spellings_print_the_same(capsys):
+    assert run_cli(capsys, "linkform", "--sum", "-1/4,1/9") == (
+        0, "composed form: (31/36)\nverdict: OBSTRUCTED (5 is not a square unit mod 36; "
+           "form is not isomorphic to (-1/36))\n", "")
+    code, out, err = run_cli(capsys, "embed", "--graphs", "-2,-10,-2", "--ambient", "4")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_DIGESTS["embed --graphs -2,-10,-2 --ambient 4"]
+    for command, same in SAME_AS.items():
+        expected = run_cli(capsys, *same.split())
+        assert expected[0] == 0 and expected[1]
+        assert run_cli(capsys, *command.split()) == expected, command
+
+
+HELP_FLAGS = {"classify": ("--index", "--format", "--budget"), "table": ("--id",),
+              "embed": ("--graphs", "--ambient", "--budget"), "dinv": ("--lens", "--spin"),
+              "linkform": ("--sum",), "candidates": ("--index",)}
+
+
+def test_help_prints_every_flag_and_exits_0(capsys):
+    every = [w for verb, flags in HELP_FLAGS.items() for w in (verb, *flags)]
+    for command, words in [("-h", every), ("--help", every), ("--he", every)] + [
+            (f"{verb} {h}", flags) for verb, flags in HELP_FLAGS.items()
+            for h in ("-h", "--help")] + [("classify --index 1 -h", HELP_FLAGS["classify"]),
+                                          ("candidates -h --index 9", ("--index",))]:
+        code, out, err = run_cli(capsys, *command.split())
+        assert (code, err) == (0, ""), command
+        assert out.startswith("usage: qhpp ") and all(w in out for w in words), command
+
+
 # sha256 of the stdout of each command, recorded before the screening chain
 # became one filter table; every later change must leave them as they are.
 GOLDEN_DIGESTS = {
@@ -389,9 +481,10 @@ READS_NO_LIST = {"", "dinv --lens 4,1", "linkform --sum K1,E6",
 
 def test_each_verb_imports_only_its_modules():
     # Every cold start pays for what it imports, so a command loads only the
-    # modules its verb runs, none loads dataclasses or numpy, and only the
-    # JSON report loads json.  The interpreter runs without site, so the set
-    # counts qhpp's imports alone.
+    # modules its verb runs, none loads dataclasses, numpy, argparse or the
+    # gettext and locale that argparse loads, and only the JSON report loads
+    # json.  The interpreter runs without site, so the set counts qhpp's
+    # imports alone.
     env = _fresh_interpreter_env()
     base = {"qhpp", "qhpp.cli", "qhpp.catalog", "qhpp.configuration", "qhpp.exact"}
     for command, own in VERB_MODULES.items():
@@ -400,7 +493,7 @@ def test_each_verb_imports_only_its_modules():
                                     check=True).stdout.split())
         assert {m for m in loaded if m.split(".")[0] == "qhpp"} == \
             base | {f"qhpp.{m}" for m in own}, command
-        assert not loaded & {"dataclasses", "numpy"}, command
+        assert not loaded & {"dataclasses", "numpy", "argparse", "gettext", "locale"}, command
         assert ("json.encoder" in loaded) == ("json" in loaded) == (command == WRITES_JSON), \
             command
         assert command not in READS_NO_LIST or "importlib.resources" not in loaded, command
