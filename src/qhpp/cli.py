@@ -145,7 +145,7 @@ def _cmd_embed(args) -> int:
     return 0
 
 
-# Without --spin, dinv prints (and memoizes) one value per spin-c label.
+# Without --spin, dinv prints one value per spin-c label.
 MAX_DINV_LABELS = 10_000
 
 

@@ -50,7 +50,6 @@ def _validate_lens(p: int, q: int, i: int) -> None:
         raise ValueError(f"spin-c label {i} out of range for L({p},{q})")
 
 
-@lru_cache(maxsize=None)
 def d_lens(p: int, q: int, i: int) -> Fraction:
     """d-invariant d(L(p,q), i), with L(p,q) the -p/q surgery on the unknot.
 

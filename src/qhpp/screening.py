@@ -98,7 +98,6 @@ def _sorted_configs(configs) -> tuple[Configuration, ...]:
         c.members[0].sort_key(), c.L, sorted((t.species, t.n) for t in c.members))))
 
 
-@lru_cache(maxsize=None)
 def enumerate_candidates(index: int) -> tuple[Configuration, ...]:
     """All candidate configurations of the given index for a rational
     homology projective plane whose smooth locus has trivial H_1."""

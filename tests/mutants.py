@@ -90,6 +90,18 @@ MUTANTS = (
     Mutant("json-flushed-only-at-the-end", "report.py",
            "if split and is_list:", "if False:",
            ("tests/test_report.py::test_writer_writes_one_candidate_per_call_in_little_memory",)),
+    Mutant("hidden-verb-import", "cli.py",
+           "    from . import floer\n",
+           "    floer = __import__(\"importlib\").import_module(\"qhpp.floer\")\n",
+           ("tests/test_cli.py::test_import_log_lists_every_module_a_verb_loads",)),
+    Mutant("e-greatest-n-nine", "catalog.py",
+           '"E": (1, 6, 8, lambda n:', '"E": (1, 6, 9, lambda n:',
+           ("tests/test_catalog.py::test_lookup_errors",)),
+    Mutant("k2-first-member-unscaled", "configuration.py",
+           "num = sum(s.numerator * (den // s.denominator) for s in squares)",
+           "num = squares[0].numerator + sum(s.numerator * (den // s.denominator)"
+           " for s in squares[1:])",
+           ("tests/test_configuration.py::test_derived_invariants_known_values",)),
 )
 
 

@@ -36,12 +36,12 @@ def _d_lens_recursive(p, q, i):
 
 def test_d_lens_matches_the_recursion():
     # The unrolled walk against the recursion at every label of every L(p, q)
-    # with p < 60, bypassing the memo.
+    # with p < 60.
     for p in range(1, 60):
         for q in range(p):
             if math.gcd(p, q) == 1:
                 for i in range(p):
-                    assert floer.d_lens.__wrapped__(p, q, i) == _d_lens_recursive(p, q, i), (p, q, i)
+                    assert floer.d_lens(p, q, i) == _d_lens_recursive(p, q, i), (p, q, i)
 
 
 def test_spin_labels():

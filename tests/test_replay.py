@@ -4,9 +4,12 @@ trip, and no tampered verdict replays True or raises."""
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qhpp import screening
-from qhpp.configuration import ObstructionVerdict, Outcome
+from qhpp import catalog, screening
+from qhpp.configuration import Configuration, ObstructionVerdict, Outcome, ResourceBudgetExceeded
+from qhpp.report import write_json
 
 
 def _round_trip(verdict):
@@ -113,3 +116,33 @@ def test_replay_rejects_malformed_input(classified):
     report = reports["E8"]
     assert screening.replay_verdict(
         report.config, ObstructionVerdict(["donaldson"], Outcome.PASS, {})) is False
+
+
+@st.composite
+def _near_least_member(draw):
+    """A member of any species, n from its least to 7 past it (or to its
+    greatest): 69 members in all."""
+    species = draw(st.sampled_from(sorted(catalog.SPECIES)))
+    _, least, greatest, _ = catalog.SPECIES[species]
+    top = least + 7 if greatest is None else min(least + 7, greatest)
+    return catalog.lookup(species, draw(st.integers(least, top)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_near_least_member(), min_size=1, max_size=3))
+@example([catalog.lookup("A(1,1)", 10), catalog.lookup("A(1,1)", 10), catalog.lookup("K", 6)])
+def test_every_drawn_configuration_replays_and_writes(members):
+    # Genuine verdicts replay on any configuration, not only on the
+    # candidates; the one failure screening may raise is an exhausted budget,
+    # as 2A10(1,1)K6 does at this budget.
+    config = Configuration(members)
+    try:
+        verdicts = screening.screen(config, budget=200_000)
+    except ResourceBudgetExceeded:
+        return
+    saved = [v.to_json() for v in verdicts]
+    for data in json.loads(json.dumps(saved)):
+        assert screening.replay_verdict(config, _verdict(data)) is True, (config.name, data)
+    chunks = []
+    write_json(saved, chunks.append)
+    assert "".join(chunks) == json.dumps(saved, indent=2, sort_keys=True) + "\n"

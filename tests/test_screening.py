@@ -274,8 +274,6 @@ def test_enumeration_rejects_other_indices():
 
 
 def test_enumeration_is_deterministic():
-    screening.enumerate_candidates.cache_clear()
     a = [c.name for c in screening.enumerate_candidates(3)]
-    screening.enumerate_candidates.cache_clear()
     b = [c.name for c in screening.enumerate_candidates(3)]
     assert a == b
