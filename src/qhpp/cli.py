@@ -23,6 +23,7 @@ only its own code on top of ``catalog``, ``configuration`` and ``exact``.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import re
@@ -33,7 +34,7 @@ from types import SimpleNamespace
 from . import catalog
 from .configuration import DEFAULT_BUDGET, Outcome, ResourceBudgetExceeded
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def __getattr__(name):
@@ -371,5 +372,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The exit code of the command in sys.argv, for a process that ends next:
+    the ``qhpp`` script and ``python -m qhpp.cli``.  Callers in a process that
+    goes on call main()."""
+    code = main()
+    # Shutdown runs the cycle collector over every live object: the modules,
+    # the records, the report.  Frozen, they sit in its permanent generation,
+    # which no collection walks.  Atexit handlers and the flush of the
+    # standard streams run as before.
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -2,10 +2,11 @@
 tests must catch (DeMillo, Lipton and Sayward, "Hints on test data
 selection", IEEE Computer 11(4), 1978).
 
-For each mutant the runner copies ``src/``, ``tests/``, ``pytest.ini`` and
-the benchmark pool that some tests read into a temporary directory, applies
-the edit there (its old text must occur exactly once, so a renamed line
-fails loudly) and runs the named tests with ``pytest -x``: they must fail.
+For each mutant the runner copies ``src/``, ``tests/``, ``pytest.ini``, and
+``pyproject.toml`` and the benchmark pool that some tests read, into a
+temporary directory, applies the edit there (its old text must occur exactly
+once, so a renamed line fails loudly) and runs the named tests with
+``pytest -x``: they must fail.
 ``pytest.ini``'s ``pythonpath = src`` puts the mutated copy first on the
 path.  The named tests must first pass on an unmutated copy.  pytest does
 not collect this file.
@@ -23,7 +24,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "pytest.ini", "bench/embed_pool.json")
+COPIED = ("src", "tests", "pytest.ini", "pyproject.toml", "bench/embed_pool.json")
 
 
 class Mutant(NamedTuple):
@@ -102,6 +103,20 @@ MUTANTS = (
            "num = squares[0].numerator + sum(s.numerator * (den // s.denominator)"
            " for s in squares[1:])",
            ("tests/test_configuration.py::test_derived_invariants_known_values",)),
+    Mutant("no-freeze-at-exit", "cli.py",
+           "    gc.freeze()\n", "",
+           ("tests/test_cli.py::test_a_command_process_freezes_its_objects_before_shutdown",)),
+    Mutant("rationally-embeds-refutes-everything", "lattice.py",
+           "    return True\n\n\ndef _pivots(", "    return False\n\n\ndef _pivots(",
+           ("tests/test_lattice.py::test_rational_test_applies_at_corank_one_only",)),
+    Mutant("pivot-without-its-previous-minor", "lattice.py",
+           "pairs.append((prefix * before, minor * before))",
+           "pairs.append((prefix * before, minor))",
+           ("tests/test_lattice.py::test_continuant_pivots_match_a_rational_elimination",)),
+    Mutant("d11-2-tabulated", "catalog.py",
+           "{9: frozenset({Fraction(5, 4), Fraction(9, 4)})}",
+           "{9: frozenset({Fraction(5, 4), Fraction(9, 4)}), 11: frozenset({Fraction(7, 4)})}",
+           ("tests/test_floer.py::test_d_family_spin_d_invariants",)),
 )
 
 

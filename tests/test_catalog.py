@@ -134,27 +134,40 @@ def test_curve_count_matches_resolution_graph_length():
         assert len(cf) == t.n, t.name
 
 
-def _adjunction_oracle(p, q):
-    """Invariants of the resolution of the cyclic quotient singularity with
-    link L(p, q), from its chain of curves alone and with no package code.
-
-    The chain carries the weights b of the Hirzebruch-Jung expansion of p/q;
-    its intersection matrix M has -b_i on the diagonal and 1 beside it.
-    Adjunction, K.E_i = b_i - 2 on each rational curve E_i, gives the
-    discrepancy vector a of K = sum a_i E_i as the solution of M a = b - 2.
-    Returns (b, a^T M a, lcm of the denominators of a, |det M|): the curve
-    count, the canonical-square correction, the index and the determinant.
-    """
+def _hj_weights(p, q):
+    """The weights b of the Hirzebruch-Jung expansion of p/q, with no package code."""
     b = []
     while q:
         c = -(-p // q)
         b.append(c)
         p, q = q, c * q - p
-    k = len(b)
-    m = [[-b[i] if i == j else int(abs(i - j) == 1) for j in range(k)] for i in range(k)]
+    return b
+
+
+def _graph_matrix(weights, edges):
+    """The intersection matrix of a resolution graph: -b on the diagonal, 1
+    for each edge."""
+    k = len(weights)
+    m = [[-weights[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    for i, j in edges:
+        m[i][j] = m[j][i] = 1
+    return m
+
+
+def _adjunction_oracle(m):
+    """Invariants of the resolution of a quotient singularity whose
+    exceptional curves, all rational, have intersection matrix m, from the
+    graph alone and with no package code.
+
+    Adjunction, K.E_i = b_i - 2 on each rational curve E_i of square -b_i,
+    gives the discrepancy vector a of K = sum a_i E_i as the solution of
+    M a = b - 2.  Returns (a^T M a, lcm of the denominators of a, |det M|):
+    the canonical-square correction, the index and the determinant.
+    """
+    k = len(m)
     # Gauss-Jordan elimination on [M | b - 2]; M is negative definite, so
     # every pivot is nonzero and det M is their product.
-    rows = [[Fraction(x) for x in m[i]] + [Fraction(b[i] - 2)] for i in range(k)]
+    rows = [[Fraction(x) for x in m[i]] + [Fraction(-m[i][i] - 2)] for i in range(k)]
     det = Fraction(1)
     for c in range(k):
         det *= rows[c][c]
@@ -164,16 +177,82 @@ def _adjunction_oracle(p, q):
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
     a = [rows[i][k] / rows[i][i] for i in range(k)]
     square = sum(a[i] * m[i][j] * a[j] for i in range(k) for j in range(k))
-    return b, square, math.lcm(*(x.denominator for x in a)), abs(det)
+    return square, math.lcm(*(x.denominator for x in a)), abs(det)
+
+
+def _smith_invariants(m):
+    """The invariant factors of a nonsingular integer matrix, each dividing
+    the next, by integer row and column operations."""
+    a = [row[:] for row in m]
+    factors = []
+    while a:
+        # An entry of least absolute value to the corner, then the rest of its
+        # column and row reduced by it; a nonzero remainder starts over.
+        _, i, j = min((abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        p = a[0][0]
+        for r in range(1, len(a)):
+            q = a[r][0] // p
+            a[r] = [x - q * y for x, y in zip(a[r], a[0])]
+        for c in range(1, len(a)):
+            q = a[0][c] // p
+            for row in a:
+                row[c] -= q * row[0]
+        if any(a[r][0] for r in range(1, len(a))) or any(a[0][1:]):
+            continue
+        # The corner must divide every other entry; if one row fails, adding
+        # it to the first row brings its remainder into the first row.
+        bad = [row for row in a[1:] if any(x % p for x in row)]
+        if bad:
+            a[0] = [x + y for x, y in zip(a[0], bad[0])]
+            continue
+        factors.append(abs(p))
+        a = [row[1:] for row in a[1:]]
+    return factors
+
+
+def _star(arms):
+    """The -2 weights and the edges of the star-shaped graph with a centre,
+    vertex 0, and arms of the given lengths."""
+    edges, k = [], 1
+    for length in arms:
+        edges += [(0 if i == 0 else k + i - 1, k + i) for i in range(length)]
+        k += length
+    return [2] * k, edges
 
 
 def test_lens_members_match_the_adjunction_oracle():
     for t in _lens_members():
-        b, square, index, det = _adjunction_oracle(t.link.p, t.link.q)
+        b = _hj_weights(t.link.p, t.link.q)
+        chain = [(i, i + 1) for i in range(len(b) - 1)]
+        square, index, det = _adjunction_oracle(_graph_matrix(b, chain))
         assert t.dp_square == square, t.name
         assert t.index == index, t.name
         assert t.det_r == det, t.name
         assert t.n == len(b), t.name
+
+
+def test_du_val_members_match_the_adjunction_oracle():
+    # D_n and E_n resolve to the Dynkin diagrams of -2 curves, stars with
+    # arms of lengths (1, 1, n - 3) and (1, 2, n - 4) (Du Val's rational double
+    # points; Barth, Hulek, Peters and Van de Ven, Compact Complex Surfaces,
+    # ch. III).  H_1 of the link is the cokernel of M, so its invariant factors
+    # are M's.  The index-three D(1) and D(2) are left out: no source cited
+    # here gives their resolution graphs.
+    members = [(catalog.lookup("D", n), (1, 1, n - 3)) for n in range(4, 12)]
+    members += [(catalog.lookup("E", n), (1, 2, n - 4)) for n in (6, 7, 8)]
+    for t, arms in members:
+        weights, edges = _star(arms)
+        m = _graph_matrix(weights, edges)
+        square, index, det = _adjunction_oracle(m)
+        assert (square, index, det, len(weights)) == (0, 1, t.det_r, t.n), t.name
+        factors = [f for f in _smith_invariants(m) if f > 1]
+        assert math.prod(factors) == det, t.name
+        kind = "cyclic" if len(factors) <= 1 else "+".join(f"Z{f}" for f in reversed(factors))
+        assert t.h1_kind == kind, t.name
+    assert [t.h1_kind for t, _ in members].count("Z2+Z2") == 4
 
 
 def test_members_of_index_at_most_two_have_a_group_order():

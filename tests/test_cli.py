@@ -1,8 +1,10 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -538,6 +540,50 @@ def test_closed_stdout_exits_1_without_a_traceback():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+# Runs one command in a process that ends with it, as `python -m qhpp.cli`
+# (TARGET "__main__") or as the console script that pip writes for TARGET
+# ("module:function").  An atexit handler, registered before the command runs
+# and so run after it, says on stderr whether anything was frozen.
+_FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0, file=sys.stderr))
+target = sys.argv.pop(1)
+sys.argv[0] = "qhpp"
+if target == "__main__":
+    runpy.run_module("qhpp.cli", run_name="__main__")  # exits
+module, _, name = target.partition(":")
+sys.exit(getattr(__import__(module, fromlist=[name]), name)())
+"""
+
+
+def _console_script_target():
+    # Read from the text: tomllib is new in Python 3.11, and 3.10 is supported.
+    text = (SRC.parent / "pyproject.toml").read_text()
+    return re.search(r'^qhpp = "([\w.]+:\w+)"$', text, re.MULTILINE)[1]
+
+
+def test_a_command_process_freezes_its_objects_before_shutdown():
+    # Shutdown's collections skip frozen objects, so a process that ends with
+    # its command freezes what is alive once the command has run: after an
+    # error too, and under both entry points.
+    env = _fresh_interpreter_env()
+    for target in ("__main__", _console_script_target()):
+        for command, code in (("dinv --lens 4,1 --spin", 0), ("classify --index 4", 2),
+                              ("classify --index 1 --format json", 0)):
+            run = subprocess.run([sys.executable, "-S", "-c", _FREEZE_PROBE, target,
+                                  *command.split()], capture_output=True, text=True, env=env)
+            assert (run.returncode, run.stderr.splitlines()[-1]) == (code, "frozen: True"), \
+                (target, command)
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "dinv", "--lens", "4,1", "--spin")[0] == 0
+    assert run_cli(capsys, "classify", "--index", "4")[0] == 2
+    assert run_cli(capsys, "classify", "--index", "1", "--format", "json")[0] == 0
+    assert gc.get_freeze_count() == before
 
 
 _LOAD_LIST_PROBE = """
