@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import groupby
 from typing import NamedTuple
 
@@ -69,6 +69,23 @@ class ObstructionVerdict(NamedTuple):
         return out
 
 
+class _memo:
+    """``functools.cached_property`` without its lock: the first read stores
+    the value in the instance ``__dict__``, where later reads find it before
+    this non-data descriptor, as Python 3.12's version does.  The lock of
+    3.11's version more than doubles the cost of a first read, and replay
+    first-reads several invariants of every configuration it parses."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class _ConfigurationFields(NamedTuple):
     members: tuple[SingularityType, ...]
 
@@ -94,16 +111,16 @@ class Configuration(_ConfigurationFields):
         counts = ((t, sum(1 for _ in run)) for t, run in groupby(self.members))
         return "".join((str(n) if n > 1 else "") + t.name for t, n in counts)
 
-    @cached_property
+    @_memo
     def L(self) -> int:
         """Total number of exceptional curves in the minimal resolution."""
         return sum(t.n for t in self.members)
 
-    @cached_property
+    @_memo
     def index(self) -> int:
         return reduce(math.lcm, (t.index for t in self.members), 1)
 
-    @cached_property
+    @_memo
     def K2(self) -> Fraction:
         """Canonical square: 9 - L minus the corrections, added over one denominator."""
         for t in self.members:
@@ -114,20 +131,21 @@ class Configuration(_ConfigurationFields):
         num = sum(s.numerator * (den // s.denominator) for s in squares)
         return Fraction((9 - self.L) * den - num, den)
 
-    @cached_property
+    @_memo
     def h1_product(self) -> int:
         return math.prod(t.det_r for t in self.members)
 
-    @cached_property
+    @_memo
     def D(self) -> int:
         """K^2 times the product of the link homology orders: an integer, as
         every correction with denominator 3 belongs to a determinant divisible by 3."""
-        d = self.K2 * self.h1_product
-        if d.denominator != 1:
-            raise ValueError(f"D = {d} of {self.name} is not an integer")
-        return d.numerator
+        k2 = self.K2
+        d, rest = divmod(k2.numerator * self.h1_product, k2.denominator)
+        if rest:
+            raise ValueError(f"D = {k2 * self.h1_product} of {self.name} is not an integer")
+        return d
 
-    @cached_property
+    @_memo
     def e_orb(self) -> Fraction | None:
         """Orbifold Euler number 3 - sum(1 - 1/|G|), added over one denominator;
         None when a group order is untabulated (non-cyclic index-three species)."""

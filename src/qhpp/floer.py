@@ -134,6 +134,12 @@ def _spin_values(link) -> tuple[tuple[Fraction, ...], tuple[str, ...]]:
     return values, tuple(map(str, values))
 
 
+def _ratio_str(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0, without building the Fraction."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}" if den != g else str(num // g)
+
+
 def spin_sum_obstruction(config: Configuration) -> ObstructionVerdict:
     """Connected-sum spin d-invariant test.
 
@@ -162,12 +168,12 @@ def spin_sum_obstruction(config: Configuration) -> ObstructionVerdict:
     den = math.lcm(SPIN_SUM_TARGET.denominator,
                    *(v.denominator for vs, _ in value_sets for v in vs))
     scaled = [[v.numerator * (den // v.denominator) for v in vals] for vals, _ in value_sets]
-    target = int(SPIN_SUM_TARGET * den)
+    target = SPIN_SUM_TARGET.numerator * (den // SPIN_SUM_TARGET.denominator)
     sums = sorted(set(map(sum, product(*scaled))))
     evidence = {
         "h1_product": config.h1_product,
         "per_member": per_member,
-        "sums": [str(Fraction(s, den)) for s in sums],
+        "sums": [_ratio_str(s, den) for s in sums],
         "target": str(SPIN_SUM_TARGET),
     }
     if target in sums:

@@ -227,9 +227,11 @@ def _pivots(chains) -> tuple[list[tuple[int, int]], int]:
 
 
 def _realizes(rows, gram) -> bool:
-    """True if the rows in -Z^N have Gram matrix ``gram``, by its lower triangle."""
+    """True if the rows in -Z^N have Gram matrix ``gram``, by its lower
+    triangle, compared one row at a time."""
     return len(rows) == len(gram) and all(
-        -_dot(a, b) == g for i, a in enumerate(rows) for b, g in zip(rows[:i + 1], gram[i]))
+        [-sum(map(mul, a, b)) for b in rows[:i + 1]] == gram[i][:i + 1]
+        for i, a in enumerate(rows))
 
 
 def _over_budget(budget: int) -> ResourceBudgetExceeded:

@@ -117,6 +117,41 @@ MUTANTS = (
            "{9: frozenset({Fraction(5, 4), Fraction(9, 4)})}",
            "{9: frozenset({Fraction(5, 4), Fraction(9, 4)}), 11: frozenset({Fraction(7, 4)})}",
            ("tests/test_floer.py::test_d_family_spin_d_invariants",)),
+    Mutant("realizes-checks-the-diagonal-only", "lattice.py",
+           "[-sum(map(mul, a, b)) for b in rows[:i + 1]] == gram[i][:i + 1]",
+           "[-sum(map(mul, a, a))] == gram[i][i:i + 1]",
+           ("tests/test_lattice.py::test_realizes_matches_a_nested_loop_oracle",)),
+    Mutant("memo-stored-under-a-wrong-key", "configuration.py",
+           "value = obj.__dict__[self.name] = self.func(obj)",
+           "value = obj.__dict__[\"_\" + self.name] = self.func(obj)",
+           ("tests/test_records.py::test_cached_properties_are_computed_once",)),
+    Mutant("spin-sum-string-unreduced", "floer.py",
+           "g = math.gcd(num, den)", "g = 1",
+           ("tests/test_floer.py::test_spin_sum_matches_naive_fraction_sums_on_drawn_configurations",)),
+    Mutant("spin-target-off-by-a-factor", "floer.py",
+           "target = SPIN_SUM_TARGET.numerator * (den // SPIN_SUM_TARGET.denominator)",
+           "target = SPIN_SUM_TARGET.numerator * den",
+           ("tests/test_floer.py::test_spin_sum_pass_cases",)),
+    Mutant("fresh-column-never-equal", "lattice.py",
+           "same = c > known", "same = False",
+           ("tests/test_lattice.py::test_embedding_instances",)),
+    Mutant("fresh-units-charged-at-first-use-only", "lattice.py",
+           "                spent += units\n",
+           "                seen = _fresh_parts.__dict__.setdefault(\"seen\", set())\n"
+           "                spent += 0 if (rest, min(free, rest)) in seen else units\n"
+           "                seen.add((rest, min(free, rest)))\n",
+           ("tests/test_lattice.py::test_pool_budgets_are_locked",)),
+    Mutant("non-unit-row-operation-adds", "lattice.py",
+           "rows.append([p // g * x - a // g * y for x, y in zip(row, top)])",
+           "rows.append([p // g * x + a // g * y for x, y in zip(row, top)])",
+           ("tests/test_lattice.py::test_complement_witness_matches_minor_oracle_on_random_matrices",)),
+    Mutant("columns-sorted-ascending", "lattice.py",
+           "cols.sort(reverse=True)", "cols.sort()",
+           ("tests/test_lattice.py::test_canonical_form_matches_the_orbit_minimum",)),
+    Mutant("hasse-trim-ignores-the-prefix", "lattice.py",
+           "[(a, b) for a, b in pairs if not a % p or not b % p]",
+           "[(a, b) for a, b in pairs if not b % p]",
+           ("tests/test_lattice.py::test_trimmed_hasse_test_matches_the_untrimmed_one_on_random_chains",)),
 )
 
 

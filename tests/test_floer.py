@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import drawn
 from qhpp import catalog, exact, floer, screening
 from qhpp.configuration import Configuration, Outcome
 
@@ -336,4 +337,13 @@ def _lens_or_trefoil(draw):
 @example(tuple(map(catalog.parse_token, "A1 A1 A1".split())))  # three choices attain 1/4
 @example(tuple(map(catalog.parse_token, "A3 A1 A1".split())))  # two, in different positions
 def test_spin_sum_matches_naive_fraction_sums_on_random_multisets(members):
+    _assert_spin_sum_matches_naive(Configuration(members))
+
+
+@settings(max_examples=120, deadline=None)
+@given(drawn.MEMBERS)
+@example(drawn.BUDGET_EXHAUSTING)
+def test_spin_sum_matches_naive_fraction_sums_on_drawn_configurations(members):
+    # The configurations that replay is tested on: every species, including
+    # those whose spin data is untabulated or whose link is no lens space.
     _assert_spin_sum_matches_naive(Configuration(members))

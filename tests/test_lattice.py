@@ -9,7 +9,7 @@ from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qhpp import catalog, lattice
@@ -111,6 +111,39 @@ def test_gram_constraints_hold_post_hoc():
                     assert gram[i][j] == expected
 
 
+def _realizes_by_nested_loops(rows, gram):
+    """The lower triangle of ``gram`` against minus the dot products, one
+    entry at a time."""
+    if len(rows) != len(gram):
+        return False
+    for i in range(len(rows)):
+        for j in range(i + 1):
+            dot = 0
+            for x, y in zip(rows[i], rows[j]):
+                dot += x * y
+            if gram[i][j] != -dot:
+                return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda rank: st.lists(
+    st.lists(st.integers(-3, 3), min_size=rank, max_size=rank), min_size=1, max_size=6)))
+@example([[1, 1], [1, 0]])
+def test_realizes_matches_a_nested_loop_oracle(rows):
+    # The rows' own Gram matrix, every one-entry edit of it (an edit above the
+    # diagonal is not read), and the matrix without its last row.
+    gram = _gram(rows)
+    edits = [gram, gram[:-1]]
+    for i, j in itertools.product(range(len(rows)), repeat=2):
+        edited = [row[:] for row in gram]
+        edited[i][j] += 1
+        edits.append(edited)
+    for g in edits:
+        assert lattice._realizes(rows, g) is _realizes_by_nested_loops(rows, g), (rows, g)
+    assert lattice._realizes(rows, gram)
+
+
 def test_complement_witness_properties():
     for _, chains, rank, _ in EMBEDDING_INSTANCES:
         nverts = sum(len(c) for c in chains)
@@ -209,6 +242,7 @@ def _small_matrices(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_small_matrices(), _small_matrices())
+@example((((1, 0),), 2), (((1,),), 1))  # the zero column must come last
 def test_canonical_form_matches_the_orbit_minimum(matrix, other):
     rows, rank = matrix
     form = lattice.canonical_form(rows)
@@ -385,6 +419,7 @@ def _corank_one_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_corank_one_matrices())
+@example([[2, 3, 0], [3, 2, 1]])  # the first pivot, 2, is not a unit
 def test_complement_witness_matches_minor_oracle_on_random_matrices(rows):
     rank = len(rows) + 1
     want = _complement_generator(rows, rank)

@@ -5,9 +5,9 @@ import json
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from qhpp import catalog, screening
+import drawn
+from qhpp import screening
 from qhpp.configuration import Configuration, ObstructionVerdict, Outcome, ResourceBudgetExceeded
 from qhpp.report import write_json
 
@@ -118,19 +118,9 @@ def test_replay_rejects_malformed_input(classified):
         report.config, ObstructionVerdict(["donaldson"], Outcome.PASS, {})) is False
 
 
-@st.composite
-def _near_least_member(draw):
-    """A member of any species, n from its least to 7 past it (or to its
-    greatest): 69 members in all."""
-    species = draw(st.sampled_from(sorted(catalog.SPECIES)))
-    _, least, greatest, _ = catalog.SPECIES[species]
-    top = least + 7 if greatest is None else min(least + 7, greatest)
-    return catalog.lookup(species, draw(st.integers(least, top)))
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_near_least_member(), min_size=1, max_size=3))
-@example([catalog.lookup("A(1,1)", 10), catalog.lookup("A(1,1)", 10), catalog.lookup("K", 6)])
+@given(drawn.MEMBERS)
+@example(drawn.BUDGET_EXHAUSTING)
 def test_every_drawn_configuration_replays_and_writes(members):
     # Genuine verdicts replay on any configuration, not only on the
     # candidates; the one failure screening may raise is an exhausted budget,
