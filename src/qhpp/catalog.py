@@ -31,17 +31,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-__all__ = [
-    "LensLink",
-    "TrefoilSurgeryLink",
-    "TabulatedLink",
-    "SingularityType",
-    "SPECIES",
-    "lookup",
-    "parse_token",
-    "imported",
-]
-
 
 # --------------------------------------------------------------------------
 # Link descriptors

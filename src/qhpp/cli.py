@@ -34,8 +34,6 @@ from types import SimpleNamespace
 from . import catalog
 from .configuration import DEFAULT_BUDGET, Outcome, ResourceBudgetExceeded
 
-__all__ = ["main", "run"]
-
 
 def __getattr__(name):
     # The renderers live in qhpp.report; bench/traced_cli.py reads them here.

@@ -22,14 +22,6 @@ from typing import NamedTuple
 from . import catalog, exact
 from .catalog import SingularityType
 
-__all__ = [
-    "DEFAULT_BUDGET",
-    "ResourceBudgetExceeded",
-    "Outcome",
-    "ObstructionVerdict",
-    "Configuration",
-]
-
 DEFAULT_BUDGET = 10_000_000
 
 

@@ -12,16 +12,6 @@ from __future__ import annotations
 
 import math
 
-__all__ = [
-    "hj_expand",
-    "hj_value",
-    "is_perfect_square",
-    "first_shared_factor",
-    "unit_square_roots",
-    "hilbert_symbol",
-    "factorize",
-    "factor_string",
-]
 
 def hj_expand(p: int, q: int) -> tuple[int, ...]:
     """Hirzebruch-Jung continued fraction of p/q.

@@ -22,17 +22,6 @@ from itertools import product
 from .catalog import LensLink, SingularityType, TrefoilSurgeryLink
 from .configuration import Configuration, ObstructionVerdict, Outcome
 
-__all__ = [
-    "SpinDataUnavailable",
-    "d_lens",
-    "spin_labels",
-    "d_trefoil_surgery",
-    "link_d_invariants",
-    "spin_d_invariants",
-    "spin_sum_obstruction",
-    "SPIN_SUM_TARGET",
-]
-
 SPIN_SUM_TARGET = Fraction(1, 4)
 
 

@@ -75,22 +75,6 @@ from .configuration import (DEFAULT_BUDGET, Configuration, ObstructionVerdict, O
                             ResourceBudgetExceeded)
 from .exact import hilbert_symbol, hj_expand
 
-__all__ = [
-    "ResourceBudgetExceeded",
-    "DEFAULT_BUDGET",
-    "MAX_WEIGHT_MAGNITUDE",
-    "PlumbingEmbedding",
-    "ComplementWitness",
-    "plumbing_for_reversed_link",
-    "chain_gram",
-    "canonical_form",
-    "vectors_of_norm",
-    "enumerate_embeddings",
-    "complement_witness",
-    "donaldson_obstruction",
-    "rebuild_donaldson",
-]
-
 MAX_WEIGHT_MAGNITUDE = 16
 
 
@@ -292,8 +276,6 @@ def _used_parts(table, dots, norm: int, spent: int, budget: int):
     as soon as ``budget`` is passed.
     """
     last = len(table) - 1
-    if last < 0:
-        return [((), norm)], spent
     # A node is (column, head, remaining norm, gaps), gaps[j] being the part of
     # dots[j] still to be made up; no two live nodes share a gaps list.  Children
     # are pushed largest value first, so they pop in the order a recursion visits

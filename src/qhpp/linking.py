@@ -20,14 +20,6 @@ from . import exact
 from .catalog import LensLink, SingularityType, TrefoilSurgeryLink
 from .configuration import Configuration, ObstructionVerdict, Outcome
 
-__all__ = [
-    "reversed_link_form",
-    "connected_sum_form",
-    "is_isomorphic",
-    "linking_obstruction",
-    "boundary_verdict",
-]
-
 
 def reversed_link_form(t: SingularityType) -> Fraction | None:
     """Linking form of the orientation-reversed link of t, or None if unknown."""

@@ -13,9 +13,6 @@ from __future__ import annotations
 from . import catalog, exact, screening
 from .configuration import Configuration, ObstructionVerdict, Outcome
 
-__all__ = ["ROW_HEADERS", "config_row", "markdown_table", "report_to_json",
-           "report_to_markdown", "write_json", "load"]
-
 _SHORT = {Outcome.PASS: "pass", Outcome.OBSTRUCTED: "OBSTRUCTED", Outcome.NOT_APPLICABLE: "n/a"}
 
 ROW_HEADERS = ["Type", "L", "K^2", "D"]

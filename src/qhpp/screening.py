@@ -26,22 +26,6 @@ from . import catalog, exact
 from .catalog import SingularityType
 from .configuration import DEFAULT_BUDGET, Configuration, ObstructionVerdict, Outcome
 
-__all__ = [
-    "enumerate_candidates",
-    "index3_case",
-    "cyclic_h1_filter",
-    "arithmetic_filter",
-    "bmy_filter",
-    "Filter",
-    "FILTERS",
-    "screen",
-    "CandidateReport",
-    "ClassificationReport",
-    "classify",
-    "realizable",
-    "replay_verdict",
-]
-
 # The non-Gorenstein families as (case, species): the K family of index two
 # (case None), then the six index-three cases.  Case 4 pools the A1(2)
 # species with the A(2,2) family: both carry the same canonical-square

@@ -8,7 +8,8 @@ temporary directory, applies the edit there (its old text must occur exactly
 once, so a renamed line fails loudly) and runs the named tests with
 ``pytest -x``: they must fail.
 ``pytest.ini``'s ``pythonpath = src`` puts the mutated copy first on the
-path.  The named tests must first pass on an unmutated copy.  pytest does
+path.  The named tests must first pass on an unmutated copy.  Each mutant's
+line gives its wall seconds, so a slow one shows in the log.  pytest does
 not collect this file.
 
     python tests/mutants.py
@@ -195,9 +196,11 @@ def main() -> int:
         return 1
     survivors = []
     for m in MUTANTS:
+        started = time.perf_counter()
         code = _run(m, m.tests)
         caught = code == 1  # pytest's exit code for failed tests
-        print(f"{'caught' if caught else 'SURVIVED'}: {m.name} (pytest exit {code})")
+        print(f"{'caught' if caught else 'SURVIVED'}: {m.name} (pytest exit {code}, "
+              f"{time.perf_counter() - started:.1f} s)", flush=True)
         if not caught:
             survivors.append(m.name)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught "

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -408,6 +409,23 @@ def test_help_prints_every_flag_and_exits_0(capsys):
         code, out, err = run_cli(capsys, *command.split())
         assert (code, err) == (0, ""), command
         assert out.startswith("usage: qhpp ") and all(w in out for w in words), command
+
+
+def _readme_commands():
+    """The ``qhpp ...`` lines of README's "Command line" block, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("qhpp ")]
+
+
+def test_readme_command_line_examples_run(capsys):
+    # The documented examples go through the parser as a shell would split them.
+    commands = _readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out, argv
 
 
 # sha256 of the stdout of each command, recorded before the screening chain

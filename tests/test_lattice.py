@@ -520,6 +520,7 @@ def _walk_states(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_walk_states())
+@example(((), 0, [], 5))  # no row placed yet: the root is the one part
 def test_used_parts_match_a_brute_force_scan(state):
     # Every u in Z^used with |u|^2 <= norm and the required dot products,
     # nonincreasing on each run of equal columns, once each.
@@ -533,7 +534,8 @@ def test_used_parts_match_a_brute_force_scan(state):
         and all(u[c] <= u[c - 1] for c in range(1, used) if cols[c] == cols[c - 1]))
     parts, spent = lattice._used_parts(_table(placed, used), dots, norm, 0, 10**9)
     assert sorted(parts) == expected
-    assert spent >= len(parts)
+    # Each part tried one value at its last coordinate; with none, nothing is tried.
+    assert spent >= len(parts) if used else spent == 0
 
 
 def test_walk_raises_as_soon_as_the_budget_is_spent():
@@ -586,6 +588,8 @@ def _compare_walks(walk, table, dots, norm, spent, budget):
 
 @settings(max_examples=300, deadline=None)
 @given(_walk_states(), st.integers(0, 40))
+@example((((1, 0, 0),), 1, [1], 1), 0)  # the root's one forced value must not edit dots
+@example((((1, 2, 0, 0),), 2, [0], 2), 0)  # siblings must not share their parent's gaps
 def test_walk_matches_the_reference_walk(state, budget):
     # The same tree, walked in the same order: every part in place, the same
     # spend, and a raise at the same budgets.
