@@ -289,8 +289,14 @@ def _used_parts(table, dots, norm: int, spent: int, budget: int):
             if closing:
                 j, p = closing[0]
                 low = high = gaps[j] // p
-                if (low * p != gaps[j] or low * low > rem or same and low > head[-1]
-                        or len(closing) > 1 and any(gaps[j] != low * p for j, p in closing)):
+                if low * low > rem or same and low > head[-1]:
+                    break
+                for j, p in closing:
+                    if gaps[j] != low * p:
+                        break
+                else:
+                    p = 0  # every row that closes here is met exactly
+                if p:
                     break
             else:
                 bound = isqrt(rem)
@@ -564,7 +570,7 @@ def rebuild_donaldson(config: Configuration, evidence) -> ObstructionVerdict:
     Malformed evidence raises KeyError, TypeError, ValueError or IndexError.
     """
     def saved(chains, rank):
-        gram = chain_gram(chains)
+        gram = chain_gram(chains) if evidence["orbits"] else None
         pairs = []
         for orbit in evidence["orbits"]:
             emb = PlumbingEmbedding(tuple(map(tuple, orbit["vectors"])), rank)

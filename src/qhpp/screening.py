@@ -10,9 +10,10 @@ the obstruction filters of the ``FILTERS`` table in its order:
 
 Every filter is an independent predicate of the configuration and the search
 budget, so the surviving set does not depend on the order of application.
-A configuration survives when no filter reports OBSTRUCTED.  The modules of
-the last three filters (``lattice``, ``linking`` and ``floer``) are imported
-when such a filter first runs, so enumerating candidates loads none of them.
+A configuration survives when no filter reports OBSTRUCTED.  Each call looks
+its filter up on the filter's module.  The modules of the last three filters
+(``lattice``, ``linking`` and ``floer``) load once, when such a filter first
+runs, so enumerating candidates loads none of them.
 """
 
 from __future__ import annotations
@@ -203,24 +204,11 @@ def _index2_log_del_pezzo() -> frozenset:
     return frozenset(map(Configuration, catalog.imported("log_del_pezzo_index2")))
 
 
-def _donaldson(config: Configuration, budget: int) -> ObstructionVerdict:
-    from . import lattice
-    return lattice.donaldson_obstruction(config, budget=budget)
-
-
-def _rebuild_donaldson(config: Configuration, evidence) -> ObstructionVerdict:
-    from . import lattice
-    return lattice.rebuild_donaldson(config, evidence)
-
-
-def _linking_form(config: Configuration, budget: int) -> ObstructionVerdict:
-    from . import linking
-    return linking.linking_obstruction(config)
-
-
-def _spin_sum(config: Configuration, budget: int) -> ObstructionVerdict:
-    from . import floer
-    return floer.spin_sum_obstruction(config)
+@lru_cache(maxsize=None)
+def _module(name: str):
+    """The module ``qhpp.<name>``, imported on the first request only, by the
+    builtin that an import statement calls (so ``-X importtime`` lists it)."""
+    return getattr(__import__(__package__, fromlist=(name,)), name)
 
 
 # --------------------------------------------------------------------------
@@ -230,27 +218,30 @@ def _spin_sum(config: Configuration, budget: int) -> ObstructionVerdict:
 class Filter(NamedTuple):
     """One screening filter.  ``run(config, budget)`` gives its verdict;
     ``rebuild(config, evidence)`` gives it again from saved evidence,
-    searching nothing, and may raise on malformed evidence
-    (``replay_verdict`` reads that as a failure)."""
+    searching nothing (a filter that searches nothing runs again), and may
+    raise on malformed evidence (``replay_verdict`` reads that as a failure)."""
     name: str
     run: Callable[[Configuration, int], ObstructionVerdict]
     rebuild: Callable[[Configuration, object], ObstructionVerdict]
 
 
-def _rerun(name: str, run) -> Filter:
-    """A filter that searches nothing: its verdict is rebuilt by running it again."""
-    return Filter(name, run, lambda config, evidence: run(config, DEFAULT_BUDGET))
-
-
-# The entries look the filters up when called, not at import, so a filter
-# replaced on its module (say, by a tracing wrapper) is the one that runs.
+# Each function looks its filter up on the filter's module when called, not
+# at import, so a filter replaced there (say, by a tracing wrapper) is the one
+# that runs.
 FILTERS = (
-    _rerun("cyclic_h1", lambda config, budget: cyclic_h1_filter(config)),
-    _rerun("arithmetic", lambda config, budget: arithmetic_filter(config)),
-    _rerun("bmy", lambda config, budget: bmy_filter(config)),
-    Filter("donaldson", _donaldson, _rebuild_donaldson),
-    _rerun("linking_form", _linking_form),
-    _rerun("spin_sum", _spin_sum),
+    Filter("cyclic_h1", lambda config, budget: cyclic_h1_filter(config),
+           lambda config, evidence: cyclic_h1_filter(config)),
+    Filter("arithmetic", lambda config, budget: arithmetic_filter(config),
+           lambda config, evidence: arithmetic_filter(config)),
+    Filter("bmy", lambda config, budget: bmy_filter(config),
+           lambda config, evidence: bmy_filter(config)),
+    Filter("donaldson",
+           lambda config, budget: _module("lattice").donaldson_obstruction(config, budget),
+           lambda config, evidence: _module("lattice").rebuild_donaldson(config, evidence)),
+    Filter("linking_form", lambda config, budget: _module("linking").linking_obstruction(config),
+           lambda config, evidence: _module("linking").linking_obstruction(config)),
+    Filter("spin_sum", lambda config, budget: _module("floer").spin_sum_obstruction(config),
+           lambda config, evidence: _module("floer").spin_sum_obstruction(config)),
 )
 _FILTERS_BY_NAME = {f.name: f for f in FILTERS}
 

@@ -153,6 +153,13 @@ MUTANTS = (
            "[(a, b) for a, b in pairs if not a % p or not b % p]",
            "[(a, b) for a, b in pairs if not b % p]",
            ("tests/test_lattice.py::test_trimmed_hasse_test_matches_the_untrimmed_one_on_random_chains",)),
+    Mutant("module-getter-uncached", "screening.py",
+           "@lru_cache(maxsize=None)\ndef _module(name: str):", "def _module(name: str):",
+           ("tests/test_screening.py::test_warm_filters_run_no_import_statement",)),
+    Mutant("filter-bound-at-import", "screening.py",
+           "lambda config, budget: cyclic_h1_filter(config)",
+           "lambda config, budget, run=cyclic_h1_filter: run(config)",
+           ("tests/test_screening.py::test_filters_are_looked_up_on_their_modules_when_called",)),
 )
 
 

@@ -1,9 +1,10 @@
+import builtins
 from fractions import Fraction
 
 import pytest
 
 import expected_tables as tables
-from qhpp import exact, lattice, screening
+from qhpp import exact, floer, lattice, linking, screening
 from qhpp.configuration import Configuration, Outcome
 
 F = Fraction
@@ -251,6 +252,54 @@ def test_evidence_replays_standalone(classified):
         for r in report.candidates:
             for v in r.verdicts:
                 assert screening.replay_verdict(r.config, v), (r.config.name, v.filter)
+
+
+def test_warm_filters_run_no_import_statement(classified, monkeypatch):
+    # A filter's module is imported on its first run only, not by an import
+    # statement that runs again on every verdict.
+    reports = [classified(index) for index in (1, 2, 3)]
+
+    def replay_all():
+        return all(screening.replay_verdict(r.config, v)
+                   for report in reports for r in report.candidates for v in r.verdicts)
+
+    assert replay_all()
+    screening.classify(3)
+    imported = []
+    real_import = builtins.__import__
+
+    def counting_import(name, *args, **kwargs):
+        imported.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    assert replay_all()
+    assert imported == []
+    screening.classify(3)
+    assert imported == []
+
+
+def test_filters_are_looked_up_on_their_modules_when_called(monkeypatch):
+    # A filter replaced on its module after the first screen, as a tracing
+    # wrapper replaces it, is the one that screen and replay_verdict call.
+    config = screening.enumerate_candidates(1)[0]
+    verdicts = screening.screen(config)
+    called = []
+    for module, name in ((screening, "cyclic_h1_filter"), (screening, "arithmetic_filter"),
+                         (screening, "bmy_filter"), (lattice, "donaldson_obstruction"),
+                         (lattice, "rebuild_donaldson"), (linking, "linking_obstruction"),
+                         (floer, "spin_sum_obstruction")):
+        def spy(*args, original=getattr(module, name), name=name, **kwargs):
+            called.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    assert screening.screen(config) == verdicts
+    assert called == ["cyclic_h1_filter", "arithmetic_filter", "bmy_filter",
+                      "donaldson_obstruction", "linking_obstruction", "spin_sum_obstruction"]
+    called.clear()
+    assert all(screening.replay_verdict(config, v) for v in verdicts)
+    assert called == ["cyclic_h1_filter", "arithmetic_filter", "bmy_filter",
+                      "rebuild_donaldson", "linking_obstruction", "spin_sum_obstruction"]
 
 
 def test_budget_is_honoured_after_a_warm_run(classified):
