@@ -113,15 +113,19 @@ class Configuration(_ConfigurationFields):
         return reduce(math.lcm, (t.index for t in self.members), 1)
 
     @_memo
-    def K2(self) -> Fraction:
-        """Canonical square: 9 - L minus the corrections, added over one denominator."""
+    def K2_pair(self) -> tuple[int, int]:
+        """K^2 = 9 - L minus the corrections, over one denominator; ``K2`` is its Fraction."""
         for t in self.members:
             if t.dp_square is None:
                 raise ValueError(f"dp_square is not defined for {t.name}")
         squares = [t.dp_square for t in self.members]
         den = math.lcm(*(s.denominator for s in squares))
         num = sum(s.numerator * (den // s.denominator) for s in squares)
-        return Fraction((9 - self.L) * den - num, den)
+        return (9 - self.L) * den - num, den
+
+    @_memo
+    def K2(self) -> Fraction:
+        return Fraction(*self.K2_pair)
 
     @_memo
     def h1_product(self) -> int:
@@ -131,21 +135,30 @@ class Configuration(_ConfigurationFields):
     def D(self) -> int:
         """K^2 times the product of the link homology orders: an integer, as
         every correction with denominator 3 belongs to a determinant divisible by 3."""
-        k2 = self.K2
-        d, rest = divmod(k2.numerator * self.h1_product, k2.denominator)
+        num, den = self.K2_pair
+        d, rest = divmod(num * self.h1_product, den)
         if rest:
-            raise ValueError(f"D = {k2 * self.h1_product} of {self.name} is not an integer")
+            raise ValueError(f"D = {self.K2 * self.h1_product} of {self.name} is not an integer")
         return d
 
     @_memo
-    def e_orb(self) -> Fraction | None:
-        """Orbifold Euler number 3 - sum(1 - 1/|G|), added over one denominator;
-        None when a group order is untabulated (non-cyclic index-three species)."""
+    def e_orb_pair(self) -> tuple[int, int] | None:
+        """Orbifold Euler number 3 - sum(1 - 1/|G|) over one denominator (``e_orb``: its
+        Fraction); None when a group order is untabulated (non-cyclic index-three species)."""
         orders = [t.group_order for t in self.members]
         if None in orders:
             return None
         den = math.lcm(*orders)
-        return Fraction((3 - len(orders)) * den + sum(den // g for g in orders), den)
+        return (3 - len(orders)) * den + sum(den // g for g in orders), den
+
+    @_memo
+    def e_orb(self) -> Fraction | None:
+        return None if self.e_orb_pair is None else Fraction(*self.e_orb_pair)
+
+    @_memo
+    def shared_factor(self) -> tuple[int, int, int] | None:
+        """``exact.first_shared_factor`` of the members' determinants."""
+        return exact.first_shared_factor([t.det_r for t in self.members])
 
     def dets_pairwise_coprime(self) -> bool:
-        return exact.first_shared_factor([t.det_r for t in self.members]) is None
+        return self.shared_factor is None

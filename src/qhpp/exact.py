@@ -2,10 +2,11 @@
 
 All quantities in this package (d-invariants, canonical squares, orbifold
 Euler characteristics, linking-form values) are exact rationals; nothing is
-ever rounded.  Rationals are stdlib ``fractions.Fraction`` values, which are
-always stored reduced with a positive denominator and are backed by
-arbitrary-precision integers, so arithmetic can neither overflow nor lose
-exactness.
+ever rounded.  The filters hold a rational as an integer pair (numerator,
+denominator > 0), added over one denominator, compared by cross-multiplying
+and rendered by ``ratio_str``; ``fractions.Fraction``, the public type, is
+built only where a caller reads one.  Integers are unbounded, so nothing can
+overflow or lose exactness.
 """
 
 from __future__ import annotations
@@ -59,6 +60,12 @@ def is_perfect_square(n: int) -> bool:
         raise ValueError(f"need n >= 1, got {n}")
     r = math.isqrt(n)
     return r * r == n
+
+
+def ratio_str(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den >= 1, without building the Fraction."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}" if den != g else str(num // g)
 
 
 def first_shared_factor(values) -> tuple[int, int, int] | None:

@@ -9,7 +9,8 @@ on the unknot.  Surgeries on the right-handed trefoil reduce to lens values
 through the mapping-cone surgery formula with V_0 = 1 and V_s = 0 for s > 0.
 Orientation reversal enters in exactly one place: d(-Y, s) = -d(Y, s).
 Each link's spin d-invariants are computed once per process, keyed on the
-link descriptor, and kept sorted together with their rendered strings.
+link descriptor, and kept sorted as numerators over one denominator with
+their strings, so that the spin-sum test adds and renders integers only.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+from . import exact
 from .catalog import LensLink, SingularityType, TrefoilSurgeryLink
 from .configuration import Configuration, ObstructionVerdict, Outcome
 
-SPIN_SUM_TARGET = Fraction(1, 4)
+SPIN_SUM_TARGET = (1, 4)  # the spin sum 1/4, as (numerator, denominator)
 
 
 class SpinDataUnavailable(Exception):
@@ -104,12 +106,13 @@ def spin_d_invariants(t: SingularityType) -> frozenset[Fraction]:
     surgery formula at the spin labels of L(k, 1), whose spin-c labels it
     shares, and a tabulated link from its table entry, raising
     SpinDataUnavailable (never an empty set) where it has none."""
-    return frozenset(_spin_values(t.link)[0])
+    den, nums, _ = _spin_values(t.link)
+    return frozenset(Fraction(num, den) for num in nums)
 
 
 @lru_cache(maxsize=None)
-def _spin_values(link) -> tuple[tuple[Fraction, ...], tuple[str, ...]]:
-    """The spin d-invariants of ``link`` in increasing order, and their strings."""
+def _spin_values(link) -> tuple[int, tuple[int, ...], tuple[str, ...]]:
+    """(den, numerators, strings) of the spin d-invariants of ``link``, increasing."""
     if isinstance(link, LensLink):
         values = {d_lens(link.p, link.q, i) for i in spin_labels(link.p, link.q)}
     elif isinstance(link, TrefoilSurgeryLink):
@@ -119,14 +122,9 @@ def _spin_values(link) -> tuple[tuple[Fraction, ...], tuple[str, ...]]:
         raise SpinDataUnavailable(f"spin d-invariants of {link.name} are not tabulated")
     else:
         values = link.spin_d
-    values = tuple(sorted(values))
-    return values, tuple(map(str, values))
-
-
-def _ratio_str(num: int, den: int) -> str:
-    """``str(Fraction(num, den))`` for den > 0, without building the Fraction."""
-    g = math.gcd(num, den)
-    return f"{num // g}/{den // g}" if den != g else str(num // g)
+    values = sorted(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return den, tuple(v.numerator * (den // v.denominator) for v in values), tuple(map(str, values))
 
 
 def spin_sum_obstruction(config: Configuration) -> ObstructionVerdict:
@@ -153,20 +151,20 @@ def spin_sum_obstruction(config: Configuration) -> ObstructionVerdict:
             {"h1_product": config.h1_product, "unavailable": str(exc)},
             note="spin d-invariant data unavailable; no verdict",
         )
-    per_member = [[t.name, list(strs)] for t, (_, strs) in zip(config.members, value_sets)]
-    den = math.lcm(SPIN_SUM_TARGET.denominator,
-                   *(v.denominator for vs, _ in value_sets for v in vs))
-    scaled = [[v.numerator * (den // v.denominator) for v in vals] for vals, _ in value_sets]
-    target = SPIN_SUM_TARGET.numerator * (den // SPIN_SUM_TARGET.denominator)
+    per_member = [[t.name, list(strs)] for t, (_, _, strs) in zip(config.members, value_sets)]
+    top, bottom = SPIN_SUM_TARGET
+    den = math.lcm(bottom, *(d for d, _, _ in value_sets))
+    scaled = [[num * (den // d) for num in nums] for d, nums, _ in value_sets]
+    target = top * (den // bottom)
     sums = sorted(set(map(sum, product(*scaled))))
     evidence = {
         "h1_product": config.h1_product,
         "per_member": per_member,
-        "sums": [_ratio_str(s, den) for s in sums],
-        "target": str(SPIN_SUM_TARGET),
+        "sums": [exact.ratio_str(s, den) for s in sums],
+        "target": exact.ratio_str(top, bottom),
     }
     if target in sums:
-        choices = zip(product(*scaled), product(*(strs for _, strs in value_sets)))
+        choices = zip(product(*scaled), product(*(strs for _, _, strs in value_sets)))
         evidence["witness"] = next(list(strs) for ints, strs in choices if sum(ints) == target)
         return ObstructionVerdict(name, Outcome.PASS, evidence)
     return ObstructionVerdict(name, Outcome.OBSTRUCTED, evidence)

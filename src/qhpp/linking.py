@@ -41,8 +41,12 @@ def _reversed_form(link) -> Fraction | None:
 
 def connected_sum_form(forms) -> Fraction:
     """Compose forms on groups of pairwise coprime order over the diagonal
-    generator (1, ..., 1) of the product group, added in integers over the
-    product of the orders."""
+    generator (1, ..., 1) of the product group: the Fraction of ``_composed``."""
+    return Fraction(*_composed(forms))
+
+
+def _composed(forms) -> tuple[int, int]:
+    """The connected sum as (c, N), N the product of the orders, added in integers; c is a unit."""
     forms = list(forms)
     orders = [f.denominator for f in forms]
     pair = exact.first_shared_factor(orders)
@@ -50,7 +54,7 @@ def connected_sum_form(forms) -> Fraction:
         i, j, _ = pair
         raise ValueError(f"orders {orders[i]} and {orders[j]} are not coprime")
     total = math.prod(orders)
-    return Fraction(sum(f.numerator * (total // f.denominator) for f in forms) % total, total)
+    return sum(f.numerator * (total // f.denominator) for f in forms) % total, total
 
 
 def is_isomorphic(f: Fraction, g: Fraction) -> bool:
@@ -101,12 +105,11 @@ def boundary_verdict(forms) -> ObstructionVerdict:
     isomorphic to (-1/N).  Raises ValueError on orders that are not
     pairwise coprime."""
     name = "linking_form"
-    composed = connected_sum_form(forms)
-    modulus = composed.denominator
-    evidence = {"composed": str(composed), "modulus": modulus}
+    composed, modulus = _composed(forms)
+    evidence = {"composed": exact.ratio_str(composed, modulus), "modulus": modulus}
     if modulus == 1:
         return ObstructionVerdict(name, Outcome.PASS, evidence)
-    residue = (-composed.numerator) % modulus
+    residue = (-composed) % modulus
     evidence.update(required_class=f"-1/{modulus}", residue=residue)
     roots = exact.unit_square_roots(modulus)
     if residue in roots:

@@ -141,9 +141,8 @@ def cyclic_h1_filter(config: Configuration) -> ObstructionVerdict:
              "h1": {t.name: t.h1_kind for t in non_cyclic}},
             note="link homology is not cyclic",
         )
-    pair = exact.first_shared_factor([t.det_r for t in config.members])
-    if pair is not None:
-        i, j, g = pair
+    if config.shared_factor is not None:
+        i, j, g = config.shared_factor
         a, b = config.members[i].name, config.members[j].name
         return ObstructionVerdict(
             name, Outcome.OBSTRUCTED, {"non_coprime": [a, b], "gcd": g},
@@ -161,7 +160,7 @@ def arithmetic_filter(config: Configuration) -> ObstructionVerdict:
         return ObstructionVerdict(name, Outcome.NOT_APPLICABLE, {"unknown_dp_square": unknown},
                                   note="canonical-square correction unavailable")
     d = config.D
-    evidence = {"K2": str(config.K2), "D": str(d)}
+    evidence = {"K2": exact.ratio_str(*config.K2_pair), "D": str(d)}
     if d <= 0:
         return ObstructionVerdict(name, Outcome.OBSTRUCTED, evidence,
                                   note="D is not positive")
@@ -190,12 +189,12 @@ def bmy_filter(config: Configuration) -> ObstructionVerdict:
         return ObstructionVerdict(
             name, Outcome.PASS, {"anti_ample_possible": True},
             note="an anti-ample canonical class is not excluded")
-    three_e_orb = 3 * config.e_orb  # defined: every member of index <= 2 has a group order
-    evidence = {"K2": str(config.K2), "three_e_orb": str(three_e_orb)}
-    if config.K2 > three_e_orb:
+    (k2, k2_den), (e, e_den) = config.K2_pair, config.e_orb_pair  # index 2: group orders known
+    evidence = {"K2": exact.ratio_str(k2, k2_den), "three_e_orb": exact.ratio_str(3 * e, e_den)}
+    if k2 * e_den > 3 * e * k2_den:
         return ObstructionVerdict(
             name, Outcome.OBSTRUCTED, evidence,
-            note=f"K^2 = {config.K2} exceeds 3 e_orb = {three_e_orb} with K ample")
+            note=f"K^2 = {evidence['K2']} exceeds 3 e_orb = {evidence['three_e_orb']} with K ample")
     return ObstructionVerdict(name, Outcome.PASS, evidence)
 
 

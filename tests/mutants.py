@@ -54,7 +54,7 @@ MUTANTS = (
            "+ p * scaled", "- p * scaled",
            ("tests/test_floer.py",)),
     Mutant("connected-sum-unreduced", "linking.py",
-           "for f in forms) % total, total)", "for f in forms), total)",
+           "for f in forms) % total, total", "for f in forms), total",
            ("tests/test_linking.py",)),
     Mutant("legendre-inverted", "exact.py",
            "(t % 2 and pow(a, half, p) != 1)", "(t % 2 and pow(a, half, p) == 1)",
@@ -75,11 +75,11 @@ MUTANTS = (
            "if t.dp_square is None:", "if False:",
            ("tests/test_catalog.py::test_d4_index3_dp_square_is_a_hard_error",)),
     Mutant("spin-strings-in-set-order", "floer.py",
-           "return values, tuple(map(str, values))", "return values, tuple(map(str, set(values)))",
+           "tuple(map(str, values))", "tuple(map(str, set(values)))",
            ("tests/test_memo.py::test_memos_equal_direct_computations",)),
     Mutant("spin-witness-by-rendered-order", "floer.py",
-           "choices = zip(product(*scaled), product(*(strs for _, strs in value_sets)))",
-           "choices = sorted(zip(product(*scaled), product(*(strs for _, strs in value_sets))),"
+           "choices = zip(product(*scaled), product(*(strs for _, _, strs in value_sets)))",
+           "choices = sorted(zip(product(*scaled), product(*(strs for _, _, strs in value_sets))),"
            " key=lambda c: (sum(c[0]), c[1]))",
            ("tests/test_floer.py::test_spin_witness_is_the_first_choice_in_product_order",)),
     Mutant("json-keys-in-insertion-order", "report.py",
@@ -126,12 +126,11 @@ MUTANTS = (
            "value = obj.__dict__[self.name] = self.func(obj)",
            "value = obj.__dict__[\"_\" + self.name] = self.func(obj)",
            ("tests/test_records.py::test_cached_properties_are_computed_once",)),
-    Mutant("spin-sum-string-unreduced", "floer.py",
+    Mutant("spin-sum-string-unreduced", "exact.py",
            "g = math.gcd(num, den)", "g = 1",
            ("tests/test_floer.py::test_spin_sum_matches_naive_fraction_sums_on_drawn_configurations",)),
     Mutant("spin-target-off-by-a-factor", "floer.py",
-           "target = SPIN_SUM_TARGET.numerator * (den // SPIN_SUM_TARGET.denominator)",
-           "target = SPIN_SUM_TARGET.numerator * den",
+           "target = top * (den // bottom)", "target = top * den",
            ("tests/test_floer.py::test_spin_sum_pass_cases",)),
     Mutant("fresh-column-never-equal", "lattice.py",
            "same = c > known", "same = False",
@@ -160,6 +159,19 @@ MUTANTS = (
            "lambda config, budget: cyclic_h1_filter(config)",
            "lambda config, budget, run=cyclic_h1_filter: run(config)",
            ("tests/test_screening.py::test_filters_are_looked_up_on_their_modules_when_called",)),
+    Mutant("spin-target-rendered-through-a-fraction", "floer.py",
+           '"target": exact.ratio_str(top, bottom),', '"target": str(Fraction(top, bottom)),',
+           ("tests/test_screening.py::test_screen_and_replay_build_and_render_no_fraction",)),
+    Mutant("bmy-comparison-swapped", "screening.py",
+           "if k2 * e_den > 3 * e * k2_den:", "if 3 * e * k2_den > k2 * e_den:",
+           ("tests/test_screening.py::"
+            "test_arithmetic_and_bmy_match_naive_fraction_arithmetic_on_drawn_configurations",)),
+    Mutant("ratio-str-whole-only-over-one", "exact.py",
+           "if den != g else", "if den != 1 else",
+           ("tests/test_exact.py::test_ratio_str_renders_as_fraction_does",)),
+    Mutant("composed-form-string-unreduced", "linking.py",
+           '"composed": exact.ratio_str(composed, modulus)', '"composed": f"{composed}/{modulus}"',
+           ("tests/test_linking.py::test_boundary_verdict_composes_as_fraction_sums_do",)),
 )
 
 

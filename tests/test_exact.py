@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qhpp import exact
@@ -243,3 +243,11 @@ def test_hilbert_symbol_rejects_zero_and_non_primes():
     for args in [(0, 1, 2), (1, 0, 3), (1, 1, 1), (1, 1, 0)]:
         with pytest.raises(ValueError):
             exact.hilbert_symbol(*args)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+@example(6, 3)
+@example(-4, 2)
+@example(0, 5)
+def test_ratio_str_renders_as_fraction_does(num, den):
+    assert exact.ratio_str(num, den) == str(Fraction(num, den))

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qhpp import catalog, exact, linking
@@ -45,11 +45,12 @@ def test_connected_sum_values():
 
 
 @st.composite
-def _coprime_forms(draw):
-    """Up to five forms c/n on pairwise coprime orders n, each c a unit mod n."""
+def _coprime_forms(draw, top=300, most=5):
+    """Up to ``most`` forms c/n on pairwise coprime orders n <= ``top``, each
+    c a unit mod n."""
     orders = []
-    for n in draw(st.lists(st.integers(1, 300), max_size=8)):
-        if len(orders) < 5 and all(math.gcd(n, m) == 1 for m in orders):
+    for n in draw(st.lists(st.integers(1, top), max_size=8)):
+        if len(orders) < most and all(math.gcd(n, m) == 1 for m in orders):
             orders.append(n)
     units = [draw(st.sampled_from([c for c in range(n) if math.gcd(c, n) == 1]))
              for n in orders]
@@ -65,6 +66,15 @@ def test_connected_sum_matches_the_integer_formula(pairs):
     composed = linking.connected_sum_form(F(c, n) for c, n in pairs)
     assert composed.denominator == total
     assert composed.numerator == value
+
+
+# Orders to 40, at most three: the verdict lists the unit squares modulo N.
+@given(_coprime_forms(40, 3))
+@example([])
+@example([(0, 1), (0, 1)])
+def test_boundary_verdict_composes_as_fraction_sums_do(pairs):
+    forms = [F(c, n) for c, n in pairs]
+    assert linking.boundary_verdict(forms).evidence["composed"] == str(sum(forms) % 1)
 
 
 def test_negation_consistency_up_to_200():

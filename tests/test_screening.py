@@ -1,10 +1,13 @@
 import builtins
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
+import drawn
 import expected_tables as tables
-from qhpp import exact, floer, lattice, linking, screening
+from qhpp import catalog, exact, floer, lattice, linking, screening
 from qhpp.configuration import Configuration, Outcome
 
 F = Fraction
@@ -279,6 +282,48 @@ def test_warm_filters_run_no_import_statement(classified, monkeypatch):
     assert imported == []
 
 
+def test_screen_and_replay_build_and_render_no_fraction(classified):
+    # The filters compute their rationals as integer pairs: after a warm-up
+    # pass, replaying every verdict of indices 1-3 and screening every
+    # candidate, each configuration parsed afresh, builds and renders no
+    # Fraction.  Enumeration builds some, so it runs before the count.
+    reports = [classified(index) for index in (1, 2, 3)]
+    candidates = [c for index in (1, 2, 3) for c in screening.enumerate_candidates(index)]
+
+    def replay_all():
+        return all(screening.replay_verdict(Configuration(r.config.members), v)
+                   for report in reports for r in report.candidates for v in r.verdicts)
+
+    def screen_all():
+        for config in candidates:
+            screening.screen(Configuration(config.members))
+
+    assert replay_all()
+    screen_all()
+    counts = {"__new__": 0, "__str__": 0}
+    saved = {name: vars(Fraction)[name] for name in counts}
+    real_new, real_str = Fraction.__new__, Fraction.__str__
+
+    def counting_new(cls, *args, **kwargs):
+        counts["__new__"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    def counting_str(self):
+        counts["__str__"] += 1
+        return real_str(self)
+
+    Fraction.__new__, Fraction.__str__ = staticmethod(counting_new), counting_str
+    try:
+        assert replay_all()
+        replayed = dict(counts)
+        screen_all()
+    finally:
+        for name, value in saved.items():
+            setattr(Fraction, name, value)
+    assert replayed == {"__new__": 0, "__str__": 0}
+    assert counts == {"__new__": 0, "__str__": 0}
+
+
 def test_filters_are_looked_up_on_their_modules_when_called(monkeypatch):
     # A filter replaced on its module after the first screen, as a tracing
     # wrapper replaces it, is the one that screen and replay_verdict call.
@@ -326,3 +371,65 @@ def test_enumeration_is_deterministic():
     a = [c.name for c in screening.enumerate_candidates(3)]
     b = [c.name for c in screening.enumerate_candidates(3)]
     assert a == b
+
+
+def _naive_arithmetic(members):
+    """The arithmetic verdict by Fraction sums taken one term at a time, as
+    (outcome, evidence, note)."""
+    unknown = [t.name for t in members if t.dp_square is None]
+    if unknown:
+        return (Outcome.NOT_APPLICABLE, {"unknown_dp_square": unknown},
+                "canonical-square correction unavailable")
+    k2 = Fraction(9)
+    for t in members:
+        k2 -= t.n
+        k2 -= t.dp_square
+    d = k2 * math.prod(t.det_r for t in members)
+    assert d.denominator == 1
+    d = d.numerator
+    evidence = {"K2": str(k2), "D": str(d)}
+    if d <= 0:
+        return Outcome.OBSTRUCTED, evidence, "D is not positive"
+    evidence["factorization"] = exact.factor_string(d)
+    if math.isqrt(d) ** 2 != d:
+        return Outcome.OBSTRUCTED, evidence, f"D = {evidence['factorization']} is not a square"
+    evidence["sqrt"] = math.isqrt(d)
+    return Outcome.PASS, evidence, ""
+
+
+def _naive_bmy(members):
+    """The BMY verdict by Fraction sums and a Fraction comparison, as
+    (outcome, evidence, note)."""
+    if math.lcm(*(t.index for t in members)) != 2:
+        return (Outcome.NOT_APPLICABLE, {},
+                "no imported data constrains the sign of the canonical class")
+    if Configuration(members) in set(map(Configuration, catalog.imported("log_del_pezzo_index2"))):
+        return (Outcome.PASS, {"anti_ample_possible": True},
+                "an anti-ample canonical class is not excluded")
+    k2, e_orb = Fraction(9), Fraction(3)
+    for t in members:
+        k2 -= t.n
+        k2 -= t.dp_square
+        e_orb -= 1 - Fraction(1, t.group_order)
+    evidence = {"K2": str(k2), "three_e_orb": str(3 * e_orb)}
+    if k2 > 3 * e_orb:
+        return (Outcome.OBSTRUCTED, evidence,
+                f"K^2 = {k2} exceeds 3 e_orb = {3 * e_orb} with K ample")
+    return Outcome.PASS, evidence, ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn.MEMBERS)
+@example(drawn.BUDGET_EXHAUSTING)
+@example(tuple(map(catalog.parse_token, ["K2"])))  # BMY obstructs
+@example(tuple(map(catalog.parse_token, ["K1", "A4"])))  # a log del Pezzo type
+@example(tuple(map(catalog.parse_token, ["K8", "A8"])))  # D < 0
+@example(tuple(map(catalog.parse_token, ["D4(2)", "A1", "D4(1)"])))  # no corrections
+def test_arithmetic_and_bmy_match_naive_fraction_arithmetic_on_drawn_configurations(members):
+    # The configurations that replay is tested on, against filters whose
+    # rationals are integer pairs.  Evidence lists members in sorted order.
+    config = Configuration(members)
+    for run, naive in ((screening.arithmetic_filter, _naive_arithmetic),
+                       (screening.bmy_filter, _naive_bmy)):
+        verdict = run(config)
+        assert (verdict.outcome, verdict.evidence, verdict.note) == naive(config.members), config
