@@ -80,26 +80,26 @@ def _cmd_classify(args) -> int:
 TABLE_IDS = ("index2-D", "index3-case1", "index3-case2", "index3-case3", "index3-case4")
 
 
+def _print_table(title: str, headers, rows) -> int:
+    from .report import markdown_table
+    print(f"# {title} ({len(rows)} rows)", "", markdown_table(headers, rows), sep="\n")
+    return 0  # the exit code of the verb that prints the table
+
+
 def _cmd_table(args) -> int:
     from . import screening
-    from .report import ROW_HEADERS, config_row, markdown_table
+    from .report import ROW_HEADERS, config_row
     if args.id == "index2-D":
         rows = []
         for config in screening.enumerate_candidates(2):
             verdict = screening.arithmetic_filter(config)
             if verdict.obstructed:
                 rows.append([config.name, verdict.evidence["factorization"]])
-        print(f"# Index-two types eliminated by the square-D test ({len(rows)} rows)")
-        print()
-        print(markdown_table(["Type", "D"], rows))
-        return 0
+        return _print_table("Index-two types eliminated by the square-D test", ["Type", "D"], rows)
     case = int(args.id[-1])
     rows = [config_row(config) + ["" if screening.arithmetic_filter(config).obstructed else "yes"]
             for config in screening.enumerate_index3_case(case)]
-    print(f"# Index-three case {case} candidates ({len(rows)} rows)")
-    print()
-    print(markdown_table(ROW_HEADERS + ["D square"], rows))
-    return 0
+    return _print_table(f"Index-three case {case} candidates", ROW_HEADERS + ["D square"], rows)
 
 
 def _parse_graphs(spec: str) -> list[tuple[int, ...]]:
@@ -245,16 +245,13 @@ def _cmd_linkform(args) -> int:
 
 def _cmd_candidates(args) -> int:
     from . import screening
-    from .report import ROW_HEADERS, config_row, markdown_table
+    from .report import ROW_HEADERS, config_row
     headers = (["Case"] if args.index == 3 else []) + ROW_HEADERS
     rows = []
     for config in screening.enumerate_candidates(args.index):
         case = [screening.index3_case(config)] if args.index == 3 else []
         rows.append(case + config_row(config))
-    print(f"# Candidate configurations, index {args.index} ({len(rows)} rows)")
-    print()
-    print(markdown_table(headers, rows))
-    return 0
+    return _print_table(f"Candidate configurations, index {args.index}", headers, rows)
 
 
 def budget(text: str) -> int:

@@ -136,9 +136,9 @@ class Configuration(_ConfigurationFields):
         """K^2 times the product of the link homology orders: an integer, as
         every correction with denominator 3 belongs to a determinant divisible by 3."""
         num, den = self.K2_pair
-        d, rest = divmod(num * self.h1_product, den)
+        d, rest = divmod(top := num * self.h1_product, den)
         if rest:
-            raise ValueError(f"D = {self.K2 * self.h1_product} of {self.name} is not an integer")
+            raise ValueError(f"D = {exact.ratio_str(top, den)} of {self.name} is not an integer")
         return d
 
     @_memo
@@ -159,6 +159,3 @@ class Configuration(_ConfigurationFields):
     def shared_factor(self) -> tuple[int, int, int] | None:
         """``exact.first_shared_factor`` of the members' determinants."""
         return exact.first_shared_factor([t.det_r for t in self.members])
-
-    def dets_pairwise_coprime(self) -> bool:
-        return self.shared_factor is None

@@ -81,7 +81,7 @@ def linking_obstruction(config: Configuration) -> ObstructionVerdict:
     untabulated linking form yields NOT_APPLICABLE.
     """
     name = "linking_form"
-    if not (config.dets_pairwise_coprime()
+    if not (config.shared_factor is None
             and all(t.h1_kind == "cyclic" for t in config.members)):
         return ObstructionVerdict(
             name, Outcome.NOT_APPLICABLE, {},

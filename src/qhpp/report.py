@@ -19,10 +19,10 @@ ROW_HEADERS = ["Type", "L", "K^2", "D"]
 
 
 def config_row(config) -> list:
-    """The columns Type, L, K^2 and D of a configuration, with D factored
-    when it is positive."""
+    """The columns Type, L, K^2 and D of a configuration, D factored when positive."""
     d = config.D
-    return [config.name, config.L, str(config.K2), exact.factor_string(d) if d > 0 else str(d)]
+    return [config.name, config.L, exact.ratio_str(*config.K2_pair),
+            exact.factor_string(d) if d > 0 else str(d)]
 
 
 def markdown_table(headers, rows) -> str:
@@ -41,7 +41,7 @@ def _candidate_json(report: screening.ClassificationReport,
         "type": c.name,
         "members": [t.name for t in c.members],
         "L": c.L,
-        "K2": str(c.K2),
+        "K2": exact.ratio_str(*c.K2_pair),
         "D": str(d),
         "verdicts": [v.to_json() for v in r.verdicts],
         "survived": r.survived,

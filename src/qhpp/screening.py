@@ -10,10 +10,11 @@ the obstruction filters of the ``FILTERS`` table in its order:
 
 Every filter is an independent predicate of the configuration and the search
 budget, so the surviving set does not depend on the order of application.
-A configuration survives when no filter reports OBSTRUCTED.  Each call looks
-its filter up on the filter's module.  The modules of the last three filters
-(``lattice``, ``linking`` and ``floer``) load once, when such a filter first
-runs, so enumerating candidates loads none of them.
+A configuration survives when no filter reports OBSTRUCTED.  All but
+``donaldson`` search nothing and replay a verdict by running again.  Each
+call looks its filter up on the filter's module.  The modules of the last
+three filters (``lattice``, ``linking`` and ``floer``) load once, when such
+a filter first runs, so enumerating candidates loads none of them.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def enumerate_candidates(index: int) -> tuple[Configuration, ...]:
         # vanishes, so only the 27 imported types with K nontrivial remain;
         # keep those with pairwise coprime determinants.
         configs = map(Configuration, catalog.imported("gorenstein_k_nontrivial"))
-        return _sorted_configs(c for c in configs if c.dets_pairwise_coprime())
+        return _sorted_configs(c for c in configs if c.shared_factor is None)
     if index not in (2, 3):
         raise ValueError(f"index must be 1, 2 or 3, got {index}")
     # Index two has exactly one K: two K's have determinants 4n and 4m with
@@ -217,30 +218,29 @@ def _module(name: str):
 class Filter(NamedTuple):
     """One screening filter.  ``run(config, budget)`` gives its verdict;
     ``rebuild(config, evidence)`` gives it again from saved evidence,
-    searching nothing (a filter that searches nothing runs again), and may
+    searching nothing (``_reruns`` fills both with one function), and may
     raise on malformed evidence (``replay_verdict`` reads that as a failure)."""
     name: str
     run: Callable[[Configuration, int], ObstructionVerdict]
     rebuild: Callable[[Configuration, object], ObstructionVerdict]
 
 
+def _reruns(name: str, run: Callable[[Configuration, object], ObstructionVerdict]) -> Filter:
+    return Filter(name, run, run)
+
+
 # Each function looks its filter up on the filter's module when called, not
 # at import, so a filter replaced there (say, by a tracing wrapper) is the one
 # that runs.
 FILTERS = (
-    Filter("cyclic_h1", lambda config, budget: cyclic_h1_filter(config),
-           lambda config, evidence: cyclic_h1_filter(config)),
-    Filter("arithmetic", lambda config, budget: arithmetic_filter(config),
-           lambda config, evidence: arithmetic_filter(config)),
-    Filter("bmy", lambda config, budget: bmy_filter(config),
-           lambda config, evidence: bmy_filter(config)),
+    _reruns("cyclic_h1", lambda config, _: cyclic_h1_filter(config)),
+    _reruns("arithmetic", lambda config, _: arithmetic_filter(config)),
+    _reruns("bmy", lambda config, _: bmy_filter(config)),
     Filter("donaldson",
            lambda config, budget: _module("lattice").donaldson_obstruction(config, budget),
            lambda config, evidence: _module("lattice").rebuild_donaldson(config, evidence)),
-    Filter("linking_form", lambda config, budget: _module("linking").linking_obstruction(config),
-           lambda config, evidence: _module("linking").linking_obstruction(config)),
-    Filter("spin_sum", lambda config, budget: _module("floer").spin_sum_obstruction(config),
-           lambda config, evidence: _module("floer").spin_sum_obstruction(config)),
+    _reruns("linking_form", lambda config, _: _module("linking").linking_obstruction(config)),
+    _reruns("spin_sum", lambda config, _: _module("floer").spin_sum_obstruction(config)),
 )
 _FILTERS_BY_NAME = {f.name: f for f in FILTERS}
 

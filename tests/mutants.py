@@ -156,11 +156,14 @@ MUTANTS = (
            "@lru_cache(maxsize=None)\ndef _module(name: str):", "def _module(name: str):",
            ("tests/test_screening.py::test_warm_filters_run_no_import_statement",)),
     Mutant("filter-bound-at-import", "screening.py",
-           "lambda config, budget: cyclic_h1_filter(config)",
-           "lambda config, budget, run=cyclic_h1_filter: run(config)",
+           "lambda config, _: cyclic_h1_filter(config)",
+           "lambda config, _, run=cyclic_h1_filter: run(config)",
            ("tests/test_screening.py::test_filters_are_looked_up_on_their_modules_when_called",)),
     Mutant("spin-target-rendered-through-a-fraction", "floer.py",
            '"target": exact.ratio_str(top, bottom),', '"target": str(Fraction(top, bottom)),',
+           ("tests/test_screening.py::test_screen_and_replay_build_and_render_no_fraction",)),
+    Mutant("report-k2-through-a-fraction", "report.py",
+           "exact.ratio_str(*config.K2_pair),", "str(config.K2),",
            ("tests/test_screening.py::test_screen_and_replay_build_and_render_no_fraction",)),
     Mutant("bmy-comparison-swapped", "screening.py",
            "if k2 * e_den > 3 * e * k2_den:", "if 3 * e * k2_den > k2 * e_den:",

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 import drawn
 import expected_tables as tables
 from qhpp import catalog, exact, floer, lattice, linking, screening
+from qhpp import report as qhpp_report
 from qhpp.configuration import Configuration, Outcome
 
 F = Fraction
@@ -283,10 +284,11 @@ def test_warm_filters_run_no_import_statement(classified, monkeypatch):
 
 
 def test_screen_and_replay_build_and_render_no_fraction(classified):
-    # The filters compute their rationals as integer pairs: after a warm-up
-    # pass, replaying every verdict of indices 1-3 and screening every
-    # candidate, each configuration parsed afresh, builds and renders no
-    # Fraction.  Enumeration builds some, so it runs before the count.
+    # The filters and the report compute their rationals as integer pairs:
+    # after a warm-up pass, replaying every verdict of indices 1-3, screening
+    # every candidate and rendering the reports as JSON and markdown, each
+    # configuration built afresh, builds and renders no Fraction.
+    # Enumeration builds some, so it runs before the count.
     reports = [classified(index) for index in (1, 2, 3)]
     candidates = [c for index in (1, 2, 3) for c in screening.enumerate_candidates(index)]
 
@@ -298,8 +300,16 @@ def test_screen_and_replay_build_and_render_no_fraction(classified):
         for config in candidates:
             screening.screen(Configuration(config.members))
 
+    def render_all():
+        for report in reports:
+            fresh = report._replace(candidates=tuple(
+                r._replace(config=Configuration(r.config.members)) for r in report.candidates))
+            qhpp_report.report_to_json(fresh)
+            qhpp_report.report_to_markdown(fresh)
+
     assert replay_all()
     screen_all()
+    render_all()
     counts = {"__new__": 0, "__str__": 0}
     saved = {name: vars(Fraction)[name] for name in counts}
     real_new, real_str = Fraction.__new__, Fraction.__str__
@@ -317,10 +327,13 @@ def test_screen_and_replay_build_and_render_no_fraction(classified):
         assert replay_all()
         replayed = dict(counts)
         screen_all()
+        screened = dict(counts)
+        render_all()
     finally:
         for name, value in saved.items():
             setattr(Fraction, name, value)
     assert replayed == {"__new__": 0, "__str__": 0}
+    assert screened == {"__new__": 0, "__str__": 0}
     assert counts == {"__new__": 0, "__str__": 0}
 
 
