@@ -172,10 +172,6 @@ def _cmd_dinv(args) -> int:
 
 _FRACTION_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 
-# The square-unit test tabulates the units up to half the composed modulus,
-# about 55 bytes each, so linkform stops above this modulus before any table.
-MAX_LINKFORM_MODULUS = 1_000_000
-
 
 def _parse_form_descriptor(token: str) -> Fraction:
     from . import linking
@@ -221,13 +217,6 @@ def _cmd_linkform(args) -> int:
     if not tokens:
         raise UsageError("--sum needs at least one descriptor")
     forms = [_parse_form_descriptor(t) for t in tokens]
-    modulus = math.prod(f.denominator for f in forms)
-    if modulus > MAX_LINKFORM_MODULUS:
-        # Counted, not printed: str() of a modulus past 4,300 digits would raise.
-        digits = int(math.log10(modulus)) + 1  # the float may be off by one
-        digits += (modulus >= 10 ** digits) - (modulus < 10 ** (digits - 1))
-        raise UsageError(f"the {digits}-digit composed modulus exceeds the linkform limit "
-                         f"{MAX_LINKFORM_MODULUS}")
     try:
         verdict = linking.boundary_verdict(forms)
     except ValueError as exc:

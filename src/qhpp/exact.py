@@ -54,14 +54,6 @@ def hj_value(coeffs) -> tuple[int, int]:
     return p, q
 
 
-def is_perfect_square(n: int) -> bool:
-    """True iff n is the square of an integer (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    r = math.isqrt(n)
-    return r * r == n
-
-
 def ratio_str(num: int, den: int) -> str:
     """``str(Fraction(num, den))`` for den >= 1, without building the Fraction."""
     g = math.gcd(num, den)

@@ -504,7 +504,7 @@ def _donaldson_verdict(config: Configuration, search) -> ObstructionVerdict:
             name, Outcome.NOT_APPLICABLE, {"non_lens_members": non_lens},
             note="test applies only to configurations of lens-space links",
         )
-    chains = [plumbing_for_reversed_link(t) for t in config.members]
+    chains = [_reversed_chain(*t.link) for t in config.members]
     heavy = [t.name for t, c in zip(config.members, chains) if min(c) < -MAX_WEIGHT_MAGNITUDE]
     if heavy:
         return ObstructionVerdict(

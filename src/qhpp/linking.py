@@ -20,6 +20,11 @@ from . import exact
 from .catalog import LensLink, SingularityType, TrefoilSurgeryLink
 from .configuration import Configuration, ObstructionVerdict, Outcome
 
+# The square-unit test tabulates the units up to half the composed modulus,
+# about 55 bytes each, so boundary_verdict refuses a larger modulus before
+# any table.
+MAX_LINKFORM_MODULUS = 1_000_000
+
 
 def reversed_link_form(t: SingularityType) -> Fraction | None:
     """Linking form of the orientation-reversed link of t, or None if unknown."""
@@ -103,8 +108,16 @@ def boundary_verdict(forms) -> ObstructionVerdict:
     """The square-unit test on the connected sum of ``forms``: the composed
     form c/N passes when -c = u^2 (mod N) for a unit u, i.e. when it is
     isomorphic to (-1/N).  Raises ValueError on orders that are not
-    pairwise coprime."""
+    pairwise coprime, or on a product of the orders above MAX_LINKFORM_MODULUS."""
     name = "linking_form"
+    forms = list(forms)
+    modulus = math.prod(f.denominator for f in forms)
+    if modulus > MAX_LINKFORM_MODULUS:
+        # Counted, not printed: str() of a modulus past 4,300 digits would raise.
+        digits = int(math.log10(modulus)) + 1  # the float may be off by one
+        digits += (modulus >= 10 ** digits) - (modulus < 10 ** (digits - 1))
+        raise ValueError(f"the {digits}-digit composed modulus exceeds the linkform limit "
+                         f"{MAX_LINKFORM_MODULUS}")
     composed, modulus = _composed(forms)
     evidence = {"composed": exact.ratio_str(composed, modulus), "modulus": modulus}
     if modulus == 1:

@@ -51,7 +51,7 @@ def _candidate_json(report: screening.ClassificationReport,
     if report.index == 3:
         entry["case"] = screening.index3_case(c)
     if r.survived:
-        entry["realizable"] = report.is_realizable(c)
+        entry["realizable"] = c in report.realizable
     return entry
 
 
@@ -73,7 +73,7 @@ def report_to_markdown(report: screening.ClassificationReport) -> str:
     lines.append(markdown_table(headers, rows))
     lines.append("")
     lines.append("Survivors: " + ", ".join(r.config.name for r in report.survivors))
-    realized = [r.config.name for r in report.survivors if report.is_realizable(r.config)]
+    realized = [r.config.name for r in report.survivors if r.config in report.realizable]
     lines.append("Realizable: " + ", ".join(realized))
     open_cases = [c.name for c in report.unmarked_survivors]
     lines.append("Open (no imported realization): "

@@ -166,10 +166,11 @@ def arithmetic_filter(config: Configuration) -> ObstructionVerdict:
         return ObstructionVerdict(name, Outcome.OBSTRUCTED, evidence,
                                   note="D is not positive")
     evidence["factorization"] = exact.factor_string(d)
-    if not exact.is_perfect_square(d):
+    root = math.isqrt(d)
+    if root * root != d:
         return ObstructionVerdict(name, Outcome.OBSTRUCTED, evidence,
                                   note=f"D = {evidence['factorization']} is not a square")
-    evidence["sqrt"] = math.isqrt(d)
+    evidence["sqrt"] = root
     return ObstructionVerdict(name, Outcome.PASS, evidence)
 
 
@@ -271,13 +272,10 @@ class ClassificationReport(NamedTuple):
     def survivors(self) -> tuple[CandidateReport, ...]:
         return tuple(r for r in self.candidates if r.survived)
 
-    def is_realizable(self, config: Configuration) -> bool:
-        return config in self.realizable
-
     @property
     def unmarked_survivors(self) -> tuple[Configuration, ...]:
         """Survivors with no imported realization: open cases."""
-        return tuple(r.config for r in self.survivors if not self.is_realizable(r.config))
+        return tuple(r.config for r in self.survivors if r.config not in self.realizable)
 
     @property
     def cross_checks(self) -> dict:

@@ -65,8 +65,8 @@ MUTANTS = (
     Mutant("configuration-unsorted", "configuration.py",
            "ms = tuple(sorted(members, key=SingularityType.sort_key))", "ms = tuple(members)",
            ("tests/test_records.py",)),
-    Mutant("everything-realizable", "screening.py",
-           "return config in self.realizable", "return True",
+    Mutant("everything-realizable", "report.py",
+           'entry["realizable"] = c in report.realizable', 'entry["realizable"] = True',
            ("tests/test_cli.py::test_byte_identical_output",)),
     Mutant("case4-coprime-at-every-prime", "screening.py",
            "modulus = 6 if case == 4 else 0", "modulus = 0",
@@ -175,6 +175,9 @@ MUTANTS = (
     Mutant("composed-form-string-unreduced", "linking.py",
            '"composed": exact.ratio_str(composed, modulus)', '"composed": f"{composed}/{modulus}"',
            ("tests/test_linking.py::test_boundary_verdict_composes_as_fraction_sums_do",)),
+    Mutant("linking-bound-dropped", "linking.py",
+           "if modulus > MAX_LINKFORM_MODULUS:", "if False:",
+           ("tests/test_linking.py::test_boundary_verdict_refuses_a_large_modulus_before_any_table",)),
 )
 
 

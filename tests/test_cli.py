@@ -15,7 +15,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhpp import cli
+from qhpp import cli, linking
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -281,7 +281,7 @@ def test_linkform_rejects_integers_past_the_conversion_limit(capsys):
 def test_linkform_rejects_a_large_modulus_at_once(capsys):
     # The square-unit table would hold half a billion units; the limit is
     # checked on the composed modulus before any table is built.
-    limit = cli.MAX_LINKFORM_MODULUS
+    limit = linking.MAX_LINKFORM_MODULUS
     for spec, modulus in (("1/1000000007", 1_000_000_007), ("1/1009,1/1013", 1009 * 1013)):
         tracemalloc.start()
         start = time.perf_counter()
@@ -303,13 +303,13 @@ def test_linkform_counts_the_digits_of_a_modulus_it_cannot_print(capsys):
     a, b = int("7" * 3000 + "1"), int("7" * 3000 + "3")
     assert run_cli(capsys, "linkform", "--sum", f"1/{a},1/{b}") == (
         2, "", f"error: the 6002-digit composed modulus exceeds the linkform limit "
-               f"{cli.MAX_LINKFORM_MODULUS}\n")
+               f"{linking.MAX_LINKFORM_MODULUS}\n")
     # Exact at the powers of ten, where the float logarithm may round.
     for k in (7, 15, 16, 17, 300):
         for modulus, digits in ((10 ** k - 1, k), (10 ** k, k + 1)):
             code, _, err = run_cli(capsys, "linkform", "--sum", f"1/{modulus}")
             assert (code, err) == (2, f"error: the {digits}-digit composed modulus exceeds "
-                                      f"the linkform limit {cli.MAX_LINKFORM_MODULUS}\n")
+                                      f"the linkform limit {linking.MAX_LINKFORM_MODULUS}\n")
 
 
 def test_usage_errors(capsys):

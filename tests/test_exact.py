@@ -46,9 +46,8 @@ def test_hj_expand_rejects_bad_input():
 
 
 def test_exact_helpers_reject_zero_and_floats():
-    for helper in (exact.factorize, exact.is_perfect_square):
-        with pytest.raises(ValueError):
-            helper(0)
+    with pytest.raises(ValueError):
+        exact.factorize(0)
     with pytest.raises(TypeError):
         exact.hj_expand(2.0, 1)
 
@@ -60,15 +59,6 @@ def test_hj_value_rejects_bad_coefficients():
         exact.hj_value([2, 1, 2])
     with pytest.raises(ValueError):
         exact.hj_value([0])
-
-
-def test_is_perfect_square():
-    assert exact.is_perfect_square(169)
-    assert exact.is_perfect_square(1)
-    assert not exact.is_perfect_square(2**5 * 3)
-    squares = {n * n for n in range(1, 101)}
-    for n in range(1, 10001):
-        assert exact.is_perfect_square(n) == (n in squares)
 
 
 def test_first_shared_factor():

@@ -159,8 +159,8 @@ def test_complement_witness_properties():
             assert wit.square < 0
             # det Gram(embedding + complement) = det(plumbing) * square;
             # its absolute value is the squared index of the full sublattice.
-            from qhpp import exact
-            assert exact.is_perfect_square(det_plumb * abs(wit.square))
+            index_squared = det_plumb * abs(wit.square)
+            assert math.isqrt(index_squared) ** 2 == index_squared
         assert nverts == rank - 1
 
 

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -75,6 +77,24 @@ def test_connected_sum_matches_the_integer_formula(pairs):
 def test_boundary_verdict_composes_as_fraction_sums_do(pairs):
     forms = [F(c, n) for c, n in pairs]
     assert linking.boundary_verdict(forms).evidence["composed"] == str(sum(forms) % 1)
+
+
+def test_boundary_verdict_refuses_a_large_modulus_before_any_table():
+    # 1009 * 1013 = 1,022,117 is past the limit: the library refuses it with
+    # the text that linkform prints, without tabulating half a million units.
+    limit = linking.MAX_LINKFORM_MODULUS
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as raised:
+        linking.boundary_verdict([F(1, 1009), F(1, 1013)])
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert str(raised.value) == f"the 7-digit composed modulus exceeds the linkform limit {limit}"
+    assert elapsed < 0.5 and peak < 1_000_000
+    # The limit is checked first, as linkform checked it, before coprimality.
+    with pytest.raises(ValueError, match="^the 7-digit composed modulus"):
+        linking.boundary_verdict([F(1, 2000), F(1, 1000)])
 
 
 def test_negation_consistency_up_to_200():
