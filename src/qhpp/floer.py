@@ -8,9 +8,9 @@ grounded at d(L(1,0), 0) = d(S^3) = 0, for L(p,q) oriented as -p/q surgery
 on the unknot.  Surgeries on the right-handed trefoil reduce to lens values
 through the mapping-cone surgery formula with V_0 = 1 and V_s = 0 for s > 0.
 Orientation reversal enters in exactly one place: d(-Y, s) = -d(Y, s).
-Each link's spin d-invariants are computed once per process, keyed on the
-link descriptor, and kept sorted as numerators over one denominator with
-their strings, so that the spin-sum test adds and renders integers only.
+For the spin-sum test each link's spin d-invariants are computed once per
+process, keyed on the link descriptor, and kept sorted as numerators over
+one denominator with their strings, so that it adds and renders integers only.
 """
 
 from __future__ import annotations
@@ -87,42 +87,39 @@ def d_trefoil_surgery(p: int, i: int) -> Fraction:
     return -d_lens(p, 1 % p, i) - 2 * (i == 0)
 
 
+def _d_invariants(link, spin: bool):
+    """The d-invariants of ``link`` at every spin-c label, or at its spin
+    labels only: a trefoil k-surgery reads the labels of L(k, 1), which it
+    shares, and a tabulated link has spin values only.  The one function
+    that tells the kinds of link apart; where no value is known it raises
+    SpinDataUnavailable, never returning an empty result."""
+    if isinstance(link, LensLink):
+        labels = spin_labels(link.p, link.q) if spin else range(link.p)
+        return [d_lens(link.p, link.q, i) for i in labels]
+    if isinstance(link, TrefoilSurgeryLink):
+        k = -link.framing
+        labels = spin_labels(k, 1 % k) if spin else range(k)
+        return [-d_trefoil_surgery(k, i) for i in labels]
+    if spin and link.spin_d is not None:
+        return link.spin_d
+    raise SpinDataUnavailable(
+        f"{'spin d-invariants' if spin else 'd-invariants'} of {link.name} are not tabulated")
+
+
 def link_d_invariants(t: SingularityType) -> tuple[Fraction, ...]:
     """The full d-invariant multiset of the link of t, sorted descending."""
-    link = t.link
-    if isinstance(link, LensLink):
-        vals = [d_lens(link.p, link.q, i) for i in range(link.p)]
-    elif isinstance(link, TrefoilSurgeryLink):
-        k = -link.framing
-        vals = [-d_trefoil_surgery(k, i) for i in range(k)]
-    else:
-        raise SpinDataUnavailable(f"d-invariants of {link.name} are not tabulated")
-    return tuple(sorted(vals, reverse=True))
+    return tuple(sorted(_d_invariants(t.link, spin=False), reverse=True))
 
 
 def spin_d_invariants(t: SingularityType) -> frozenset[Fraction]:
-    """d-invariants of the link of t at its spin structures, by the kind of
-    link: a lens space from the recursion, a trefoil k-surgery from the
-    surgery formula at the spin labels of L(k, 1), whose spin-c labels it
-    shares, and a tabulated link from its table entry, raising
-    SpinDataUnavailable (never an empty set) where it has none."""
-    den, nums, _ = _spin_values(t.link)
-    return frozenset(Fraction(num, den) for num in nums)
+    """d-invariants of the link of t at its spin structures."""
+    return frozenset(_d_invariants(t.link, spin=True))
 
 
 @lru_cache(maxsize=None)
 def _spin_values(link) -> tuple[int, tuple[int, ...], tuple[str, ...]]:
     """(den, numerators, strings) of the spin d-invariants of ``link``, increasing."""
-    if isinstance(link, LensLink):
-        values = {d_lens(link.p, link.q, i) for i in spin_labels(link.p, link.q)}
-    elif isinstance(link, TrefoilSurgeryLink):
-        k = -link.framing
-        values = {-d_trefoil_surgery(k, i) for i in spin_labels(k, 1 % k)}
-    elif link.spin_d is None:
-        raise SpinDataUnavailable(f"spin d-invariants of {link.name} are not tabulated")
-    else:
-        values = link.spin_d
-    values = sorted(values)
+    values = sorted(set(_d_invariants(link, spin=True)))
     den = math.lcm(*(v.denominator for v in values))
     return den, tuple(v.numerator * (den // v.denominator) for v in values), tuple(map(str, values))
 

@@ -496,7 +496,7 @@ def complement_witness(emb: PlumbingEmbedding) -> ComplementWitness:
 def _donaldson_verdict(config: Configuration, search) -> ObstructionVerdict:
     """The diagonalization verdict of ``config``.  ``search(chains, rank)``
     gives the embedding orbits of the chains in -Z^rank, in canonical order,
-    as (PlumbingEmbedding, ComplementWitness) pairs."""
+    as evidence dicts of ``vectors``, ``complement`` and ``square``."""
     name = "donaldson"
     non_lens = [t.name for t in config.members if not isinstance(t.link, LensLink)]
     if non_lens:
@@ -514,10 +514,7 @@ def _donaldson_verdict(config: Configuration, search) -> ObstructionVerdict:
         )
     rank = sum(map(len, chains)) + 1
     target = -config.h1_product
-    orbits = [{"vectors": [list(v) for v in emb.vectors],
-               "complement": list(wit.generator),
-               "square": wit.square}
-              for emb, wit in search(chains, rank)]
+    orbits = search(chains, rank)
     evidence = {
         "chains": [list(c) for c in chains],
         "ambient_rank": rank,
@@ -549,8 +546,9 @@ def donaldson_obstruction(config: Configuration,
     square (in particular when no embedding exists at all).
     """
     def search(chains, rank):
-        return [(emb, complement_witness(emb))
-                for emb in enumerate_embeddings(chains, rank, budget=budget)]
+        embs = enumerate_embeddings(chains, rank, budget=budget)
+        return [{"vectors": [list(v) for v in emb.vectors], "complement": list(wit.generator),
+                 "square": wit.square} for emb, wit in zip(embs, map(complement_witness, embs))]
     return _donaldson_verdict(config, search)
 
 
@@ -571,19 +569,21 @@ def rebuild_donaldson(config: Configuration, evidence) -> ObstructionVerdict:
     """
     def saved(chains, rank):
         gram = chain_gram(chains) if evidence["orbits"] else None
-        pairs = []
+        orbits, last = [], ()  # () precedes every orbit
         for orbit in evidence["orbits"]:
-            emb = PlumbingEmbedding(tuple(map(tuple, orbit["vectors"])), rank)
+            rows = tuple(map(tuple, orbit["vectors"]))
             gen = tuple(orbit["complement"])
-            if (any(len(v) != rank for v in emb.vectors) or not _realizes(emb.vectors, gram)
-                    or canonical_form(emb.vectors) != emb.vectors
-                    or (pairs and pairs[-1][0].vectors >= emb.vectors)
+            if (any(len(v) != rank for v in rows) or not _realizes(rows, gram)
+                    or canonical_form(rows) != rows or last >= rows
                     or len(gen) != rank or math.gcd(*gen) != 1
                     or next(x for x in gen if x) < 0
-                    or any(_dot(gen, v) for v in emb.vectors)):
+                    or any(_dot(gen, v) for v in rows)):
                 raise ValueError("saved orbit is not one the search returns")
-            pairs.append((emb, ComplementWitness(gen, -_dot(gen, gen))))
+            # Fresh lists, so a tuple saved in place of a list compares unequal.
+            orbits.append({"vectors": [list(v) for v in rows], "complement": list(gen),
+                           "square": -_dot(gen, gen)})
+            last = rows
         if "witness_orbit" in evidence and type(evidence["witness_orbit"]) is not int:
             raise TypeError("witness_orbit is not an int")
-        return pairs
+        return orbits
     return _donaldson_verdict(config, saved)

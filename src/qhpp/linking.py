@@ -22,7 +22,8 @@ from .configuration import Configuration, ObstructionVerdict, Outcome
 
 # The square-unit test tabulates the units up to half the composed modulus,
 # about 55 bytes each, so boundary_verdict refuses a larger modulus before
-# any table.
+# any table; is_isomorphic scans as many units, and refuses a larger order
+# before its scan.
 MAX_LINKFORM_MODULUS = 1_000_000
 
 
@@ -63,10 +64,13 @@ def _composed(forms) -> tuple[int, int]:
 
 
 def is_isomorphic(f: Fraction, g: Fraction) -> bool:
-    """Whether two cyclic forms are isomorphic (equal up to a unit square)."""
+    """Whether two cyclic forms are isomorphic (equal up to a unit square).
+    Raises ValueError on a common order above MAX_LINKFORM_MODULUS."""
     n = f.denominator
     if n != g.denominator:
         return False
+    if n > MAX_LINKFORM_MODULUS:
+        raise ValueError(f"the form order exceeds the linkform limit {MAX_LINKFORM_MODULUS}")
     if n == 1:
         return True
     ratio = g.numerator * pow(f.numerator, -1, n) % n

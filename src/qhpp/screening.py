@@ -49,13 +49,6 @@ def _cyclic_members(species: str, curve_bound: int) -> list[SingularityType]:
     return [t for t in members if t.h1_kind == "cyclic"]
 
 
-@lru_cache(maxsize=None)
-def _gorenstein_pool(curve_budget: int) -> tuple[SingularityType, ...]:
-    """Rational double points with cyclic link homology fitting the budget,
-    built once per budget."""
-    return tuple(t for species in "ADE" for t in _cyclic_members(species, curve_budget))
-
-
 def _extend_base(base: SingularityType, curve_budget: int, modulus: int) -> list[Configuration]:
     """All configurations {base} + Gorenstein extras within the curve budget.
 
@@ -64,7 +57,7 @@ def _extend_base(base: SingularityType, curve_budget: int, modulus: int) -> list
     At most four singularities in total: a configuration with five is
     Gorenstein (type 2A3 3A1), which no non-Gorenstein base matches.
     """
-    pool = [t for t in _gorenstein_pool(curve_budget)
+    pool = [t for species in "ADE" for t in _cyclic_members(species, curve_budget)
             if math.gcd(base.det_r, t.det_r, modulus) == 1]
     out = []
     for size in range(0, 4):

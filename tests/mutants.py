@@ -178,6 +178,19 @@ MUTANTS = (
     Mutant("linking-bound-dropped", "linking.py",
            "if modulus > MAX_LINKFORM_MODULUS:", "if False:",
            ("tests/test_linking.py::test_boundary_verdict_refuses_a_large_modulus_before_any_table",)),
+    Mutant("rebuilt-orbit-aliases-saved-lists", "lattice.py",
+           '"vectors": [list(v) for v in rows]', '"vectors": orbit["vectors"]',
+           ("tests/test_replay.py::test_replay_rejects_every_tampered_verdict[1]",)),
+    Mutant("isomorphism-bound-dropped", "linking.py",
+           "if n > MAX_LINKFORM_MODULUS:", "if False:",
+           ("tests/test_linking.py::test_isomorphism_refuses_an_order_above_the_limit_before_any_scan",)),
+    Mutant("complement-not-primitive", "lattice.py",
+           "gen = tuple(x // g for x in sol)", "gen = tuple(2 * x // g for x in sol)",
+           ("tests/test_cross_filter.py::test_gluing_count_predicts_every_donaldson_orbit_list",)),
+    Mutant("trefoil-d-invariants-unreversed", "floer.py",
+           "return [-d_trefoil_surgery(k, i) for i in labels]",
+           "return [d_trefoil_surgery(k, i) for i in labels]",
+           ("tests/test_floer.py::test_link_d_invariants_en",)),
 )
 
 

@@ -140,6 +140,19 @@ def test_isomorphism_of_different_orders_and_of_the_trivial_form():
     assert linking.is_isomorphic(F(0), F(0))
 
 
+def test_isomorphism_refuses_an_order_above_the_limit_before_any_scan():
+    # Unbounded, the scan of 10^7 + 19 units takes most of a second.
+    text = f"^the form order exceeds the linkform limit {linking.MAX_LINKFORM_MODULUS}$"
+    n = 10**7 + 19
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=text):
+        linking.is_isomorphic(F(1, n), F(2, n))
+    assert time.perf_counter() - start < 0.1
+    # The text counts no digits: str() of an order past 4,300 digits raises.
+    with pytest.raises(ValueError, match=text):
+        linking.is_isomorphic(F(1, 10**5000 + 1), F(2, 10**5000 + 1))
+
+
 def test_isomorphism_matches_the_square_root_table():
     # is_isomorphic scans for a root of the ratio; the oracle looks the ratio
     # up among the square units, each found with its gcd.

@@ -24,7 +24,7 @@ def _verdict(data):
 def _tampered(node, path=()):
     """Every single edit of one evidence node, as (path, kind, new node):
     ints bumped, bools flipped, strings altered, dict keys dropped, lists
-    truncated or extended, applied at every depth."""
+    truncated, extended or made tuples, applied at every depth."""
     if isinstance(node, bool):
         yield path, "flip", not node
     elif isinstance(node, int):
@@ -35,6 +35,7 @@ def _tampered(node, path=()):
         if node:
             yield path, "truncate", node[:-1]
         yield path, "extend", node + [node[-1] if node else 0]
+        yield path, "tuple", tuple(node)
         for i, item in enumerate(node):
             for sub, kind, new in _tampered(item, path + (i,)):
                 yield sub, kind, node[:i] + [new] + node[i + 1:]
