@@ -54,12 +54,6 @@ class ObstructionVerdict(NamedTuple):
     def obstructed(self) -> bool:
         return self.outcome is Outcome.OBSTRUCTED
 
-    def to_json(self) -> dict:
-        out = {"filter": self.filter, "outcome": self.outcome.value, "evidence": self.evidence}
-        if self.note:
-            out["note"] = self.note
-        return out
-
 
 class _memo:
     """``functools.cached_property`` without its lock: the first read stores

@@ -4,8 +4,8 @@
 (``report_to_markdown``) or as JSON: ``report_to_json`` gives the value and
 ``write_json`` writes it, one candidate per call, as the bytes of
 ``json.dumps(value, indent=2, sort_keys=True)`` and a newline.  ``load`` reads
-such a text back into a report.  ``table`` and ``candidates`` share the
-markdown helpers.  The markdown path loads no ``json``.
+such a text back into a report; no other module writes or reads its keys.
+The markdown helpers, shared with ``table`` and ``candidates``, load no ``json``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,12 @@ def markdown_table(headers, rows) -> str:
     return "\n".join(out)
 
 
+def verdict_json(v: ObstructionVerdict) -> dict:
+    """A verdict's filter, outcome and evidence, and its note unless empty."""
+    out = {"filter": v.filter, "outcome": v.outcome.value, "evidence": v.evidence}
+    return {**out, "note": v.note} if v.note else out
+
+
 def _candidate_json(report: screening.ClassificationReport,
                     r: screening.CandidateReport) -> dict:
     c = r.config
@@ -43,7 +49,7 @@ def _candidate_json(report: screening.ClassificationReport,
         "L": c.L,
         "K2": exact.ratio_str(*c.K2_pair),
         "D": str(d),
-        "verdicts": [v.to_json() for v in r.verdicts],
+        "verdicts": [verdict_json(v) for v in r.verdicts],
         "survived": r.survived,
     }
     if d > 0:
@@ -56,12 +62,17 @@ def _candidate_json(report: screening.ClassificationReport,
 
 
 def report_to_json(report: screening.ClassificationReport) -> dict:
+    survivors = [r.config.name for r in report.survivors]
+    unmarked = [c.name for c in report.unmarked_survivors]
+    missing = [c.name for c in report.missing_realizable]
     return {
         "index": report.index,
         "candidates": [_candidate_json(report, r) for r in report.candidates],
-        "survivors": [r.config.name for r in report.survivors],
-        "unmarked_survivors": [c.name for c in report.unmarked_survivors],
-        "cross_checks": report.cross_checks,
+        "survivors": survivors,
+        "unmarked_survivors": unmarked,
+        "cross_checks": {"every_realizable_type_survives": not missing,
+                         "survivors": list(survivors), "missing_realizable": missing,
+                         "unmarked_survivors": list(unmarked)},
     }
 
 
@@ -78,9 +89,8 @@ def report_to_markdown(report: screening.ClassificationReport) -> str:
     open_cases = [c.name for c in report.unmarked_survivors]
     lines.append("Open (no imported realization): "
                  + (", ".join(open_cases) if open_cases else "none"))
-    checks = report.cross_checks
     lines.append("Every realizable type survives: "
-                 + ("yes" if checks["every_realizable_type_survives"] else "NO"))
+                 + ("NO" if report.missing_realizable else "yes"))
     return "\n".join(lines) + "\n"
 
 
@@ -143,9 +153,10 @@ def load(text: str) -> screening.ClassificationReport:
     """The report that ``classify --format json`` wrote as ``text``, with
     ``realizable`` read from the imported list as ``classify`` reads it.
 
-    Only the index and each candidate's members and verdicts are read.  Any
-    malformed text raises ``ValueError``: not JSON, a float or constant
-    anywhere, a missing or mistyped field, an unknown token or outcome.
+    The index and each candidate's members and verdicts are read; every other
+    field must be what ``report_to_json`` derives from them.  Anything else
+    raises ``ValueError``: not JSON, a float or constant anywhere, a missing
+    or mistyped field, an unknown token or outcome, a differing derived field.
     """
     import json
     try:
@@ -159,6 +170,9 @@ def load(text: str) -> screening.ClassificationReport:
                                      v.get("note", ""))
                   for v in c["verdicts"]))
             for c in data["candidates"])
+        loaded = screening.ClassificationReport(index, candidates, screening.realizable(index))
+        if report_to_json(loaded) != data:
+            raise ValueError("a derived field differs from what the members and verdicts give")
     except (KeyError, TypeError, AttributeError, IndexError, RecursionError) as exc:
         raise ValueError(f"malformed report: {type(exc).__name__}: {exc}") from None
-    return screening.ClassificationReport(index, candidates, screening.realizable(index))
+    return loaded

@@ -271,15 +271,10 @@ class ClassificationReport(NamedTuple):
         return tuple(r.config for r in self.survivors if r.config not in self.realizable)
 
     @property
-    def cross_checks(self) -> dict:
+    def missing_realizable(self) -> tuple[Configuration, ...]:
+        """Imported realizable configurations that did not survive."""
         survivors = {r.config for r in self.survivors}
-        missing = [c.name for c in self.realizable if c not in survivors]
-        return {
-            "every_realizable_type_survives": not missing,
-            "missing_realizable": missing,
-            "survivors": [r.config.name for r in self.survivors],
-            "unmarked_survivors": [c.name for c in self.unmarked_survivors],
-        }
+        return tuple(c for c in self.realizable if c not in survivors)
 
 
 def screen(config: Configuration,
@@ -302,13 +297,12 @@ def realizable(index: int) -> tuple[Configuration, ...]:
 
 def replay_verdict(config: Configuration, verdict: ObstructionVerdict) -> bool:
     """Re-derive a saved verdict from the configuration, searching nothing:
-    rebuild it from its evidence and require the saved outcome and evidence.
+    rebuild it from its evidence and require the whole saved verdict.
 
     False when the filter is unknown, the evidence is malformed, or the
-    outcome or evidence does not follow; never raises on such input.
+    rebuilt filter, outcome, evidence or note differs; never raises on such input.
     """
     try:
-        fresh = _FILTERS_BY_NAME[verdict.filter].rebuild(config, verdict.evidence)
-        return fresh.outcome is verdict.outcome and fresh.evidence == verdict.evidence
+        return _FILTERS_BY_NAME[verdict.filter].rebuild(config, verdict.evidence) == verdict
     except (KeyError, TypeError, ValueError, IndexError):
         return False

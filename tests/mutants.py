@@ -9,14 +9,16 @@ once, so a renamed line fails loudly) and runs the named tests with
 ``pytest -x``: they must fail.
 ``pytest.ini``'s ``pythonpath = src`` puts the mutated copy first on the
 path.  The named tests must first pass on an unmutated copy.  Each mutant's
-line gives its wall seconds, so a slow one shows in the log.  pytest does
-not collect this file.
+line gives its wall seconds, so a slow one shows in the log.  A mutant's run
+that outlasts ``TIMEOUT_S`` is killed with its children and the mutant counted
+as caught, with ``timed out`` on its line.  pytest does not collect this file.
 
     python tests/mutants.py
 """
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -26,6 +28,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pytest.ini", "pyproject.toml", "bench/embed_pool.json")
+TIMEOUT_S = 30  # about ten times the slowest mutant's run
 
 
 class Mutant(NamedTuple):
@@ -191,6 +194,16 @@ MUTANTS = (
            "return [-d_trefoil_surgery(k, i) for i in labels]",
            "return [d_trefoil_surgery(k, i) for i in labels]",
            ("tests/test_floer.py::test_link_d_invariants_en",)),
+    Mutant("replay-ignores-the-note", "screening.py",
+           "rebuild(config, verdict.evidence) == verdict",
+           "rebuild(config, verdict.evidence)[:3] == verdict[:3]",
+           ("tests/test_replay.py::test_replay_rejects_every_tampered_verdict[1]",)),
+    Mutant("load-trusts-derived-fields", "report.py",
+           "if report_to_json(loaded) != data:", "if False:",
+           ("tests/test_report.py::test_loader_refuses_a_report_that_the_writer_would_not_write",)),
+    Mutant("verdict-json-writes-an-empty-note", "report.py",
+           '{**out, "note": v.note} if v.note else out', '{**out, "note": v.note}',
+           ("tests/test_cli.py::test_byte_identical_output",)),
 )
 
 
@@ -204,15 +217,23 @@ def _copy_tree(dest: Path) -> None:
             shutil.copy2(src, dst)
 
 
-def _pytest(tree: Path, tests) -> int:
+def _pytest(tree: Path, tests, timeout) -> int | None:
+    """pytest's exit code, or None when the run outlasts ``timeout`` seconds:
+    then its whole process group, the commands that tests start included, is killed."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    with subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL, start_new_session=True) as proc:
+        try:
+            return proc.wait(timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return None
 
 
-def _run(mutant: Mutant | None, tests) -> int:
+def _run(mutant: Mutant | None, tests, timeout=TIMEOUT_S) -> int | None:
     with tempfile.TemporaryDirectory(prefix="qhpp-mutant-") as tmp:
         tree = Path(tmp)
         _copy_tree(tree)
@@ -223,21 +244,22 @@ def _run(mutant: Mutant | None, tests) -> int:
             if count != 1:
                 raise SystemExit(f"{mutant.name}: old text found {count} times in {mutant.file}")
             path.write_text(text.replace(mutant.old, mutant.new))
-        return _pytest(tree, tests)
+        return _pytest(tree, tests, timeout)
 
 
 def main() -> int:
     start = time.perf_counter()
     tests = sorted({t for m in MUTANTS for t in m.tests})
-    if _run(None, tests) != 0:
+    if _run(None, tests, timeout=None) != 0:
         print("FAIL: the named tests do not pass on the unmutated tree")
         return 1
     survivors = []
     for m in MUTANTS:
         started = time.perf_counter()
         code = _run(m, m.tests)
-        caught = code == 1  # pytest's exit code for failed tests
-        print(f"{'caught' if caught else 'SURVIVED'}: {m.name} (pytest exit {code}, "
+        caught = code in (1, None)  # pytest's exit code for failed tests, or a timeout
+        how = "timed out" if code is None else f"pytest exit {code}"
+        print(f"{'caught' if caught else 'SURVIVED'}: {m.name} ({how}, "
               f"{time.perf_counter() - started:.1f} s)", flush=True)
         if not caught:
             survivors.append(m.name)

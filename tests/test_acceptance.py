@@ -152,7 +152,7 @@ def test_criterion_8_end_to_end_classification(classified):
         {_key(t) for t in tables.INDEX3_OPEN}
     ok = ok and rep1.unmarked_survivors == () and rep2.unmarked_survivors == ()
     for rep in (rep1, rep2, rep3):
-        ok = ok and rep.cross_checks["every_realizable_type_survives"]
+        ok = ok and rep.missing_realizable == ()
     _check(8, "classification endpoints for indices 1, 2 and 3", ok)
 
 

@@ -32,7 +32,7 @@ import math
 from collections import Counter
 from pathlib import Path
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qhpp import catalog, lattice, linking
@@ -95,8 +95,8 @@ def test_index_is_a_square_on_every_donaldson_orbit(classified):
     assert orbits == 127
 
 
-def _corank_one_orbits(chains, rank):
-    for emb in lattice.enumerate_embeddings(chains, rank, budget=200_000):
+def _corank_one_orbits(chains, rank, budget=200_000):
+    for emb in lattice.enumerate_embeddings(chains, rank, budget=budget):
         yield lattice.complement_witness(emb).generator
 
 
@@ -177,8 +177,17 @@ def _predicted_squares(chains):
     return sorted(squares)
 
 
-def _found_squares(chains, rank):
-    return sorted(-sum(x * x for x in gen) for gen in _corank_one_orbits(chains, rank))
+def _found_squares(chains, rank, budget=200_000):
+    return sorted(-sum(x * x for x in gen) for gen in _corank_one_orbits(chains, rank, budget))
+
+
+def _searched_squares(chains, budget):
+    """The found squares of a corank-one instance; a draw whose search
+    exhausts the budget decides nothing and is skipped."""
+    try:
+        return _found_squares(chains, sum(map(len, chains)) + 1, budget)
+    except lattice.ResourceBudgetExceeded:
+        assume(False)
 
 
 def test_unit_root_count_matches_a_scan_of_the_units():
@@ -231,7 +240,41 @@ def test_gluing_count_predicts_the_benchmark_pool():
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.lists(st.integers(-9, -2), min_size=1, max_size=3), min_size=1, max_size=3)
        .filter(lambda chains: sum(map(len, chains)) <= 6))
+@example([[-7, -7, -9], [-8, -6, -8]])  # 42 orbits, found past a budget of 200,000
 def test_gluing_count_predicts_random_corank_one_instances_below_rank_eight(chains):
     predicted = _predicted_squares(chains)
     assume(predicted is not None)
-    assert _found_squares(chains, sum(map(len, chains)) + 1) == predicted
+    assert _found_squares(chains, sum(map(len, chains)) + 1, 2_000_000) == predicted
+
+
+def test_pinned_rank_eight_and_nine_instances_finish_within_the_draws_budget():
+    # The test below skips a draw that exhausts its budget; these two of its
+    # examples must not.
+    chains = [[-8, -4, -3, -4, -9, -4, -4]]
+    assert _found_squares(chains, 8, 100_000) == _predicted_squares(chains)
+    assert _found_squares([[-4, -2, -2, -2, -2, -2, -3, -6]], 9, 100_000) == []
+
+
+@st.composite
+def _chains_of_seven_or_eight_vertices(draw):
+    vertices = draw(st.integers(7, 8))
+    cuts = sorted(draw(st.sets(st.integers(1, vertices - 1), max_size=2)))
+    bounds = [0, *cuts, vertices]
+    return [draw(st.lists(st.integers(-9, -2), min_size=b - a, max_size=b - a))
+            for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_chains_of_seven_or_eight_vertices())
+@example([[-4, -2, -2, -2, -2, -2, -3, -6]])  # the root of -227 glues to E8 + <1>
+@example([[-8, -4, -3, -4, -9, -4, -4]])  # 8 orbits, two squares found twice
+def test_gluing_count_bounds_random_corank_one_instances_in_ranks_eight_and_nine(chains):
+    # In rank 8 with an odd weight the glued unimodular lattice is odd, so
+    # it is the unit lattice and the count is exact; otherwise a root may
+    # glue to E8 (+ <1>) and give no orbit.
+    predicted = _predicted_squares(chains)
+    assume(predicted is not None)
+    found = _searched_squares(chains, 100_000)
+    assert Counter(found) <= Counter(predicted), (found, predicted)
+    if sum(map(len, chains)) == 7 and any(w % 2 for chain in chains for w in chain):
+        assert found == predicted

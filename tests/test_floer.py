@@ -45,6 +45,77 @@ def test_d_lens_matches_the_recursion():
                     assert floer.d_lens(p, q, i) == _d_lens_recursive(p, q, i), (p, q, i)
 
 
+def _hj_expansion(p, q):
+    """[a_1, ..., a_l], all a_i >= 2, with p/q = a_1 - 1/(a_2 - ... - 1/a_l)."""
+    out = []
+    while q:
+        a = -(-p // q)
+        out.append(a)
+        p, q = q, a * q - p
+    return out
+
+
+def _chain_square(a, k):
+    """K^2 = k^T Q^(-1) k for the form Q of the chain -a_1 - ... - -a_l
+    (diagonal -a_i, 1 between neighbours), by elimination down the chain."""
+    pivots, rhs = [], []
+    for i, (ai, ki) in enumerate(zip(a, k)):
+        pivot, value = F(-ai), F(ki)
+        if i:
+            pivot -= 1 / pivots[-1]
+            value -= rhs[-1] / pivots[-1]
+        pivots.append(pivot)
+        rhs.append(value)
+    x = [F(0)] * len(a)
+    for i in reversed(range(len(a))):
+        x[i] = (rhs[i] - (x[i + 1] if i + 1 < len(a) else 0)) / pivots[i]
+    return sum(ki * xi for ki, xi in zip(k, x))
+
+
+def _path_survives(a, k):
+    """The path of Ozsvath-Szabo from a start vector (the values <K, v>):
+    while some <K, v> = -e_v = a_v, add 2 PD(v), which lowers <K, v> by
+    2 a_v and raises each neighbour's by 2.  The start survives when every
+    value ends at most a_v - 2, and is dropped once one exceeds a_v."""
+    k, n = list(k), len(a)
+    while True:
+        v = next((v for v in range(n) if k[v] == a[v]), None)
+        if v is None:
+            return True
+        k[v] -= 2 * a[v]
+        for w in (v - 1, v + 1):
+            if 0 <= w < n:
+                k[w] += 2
+                if k[w] > a[w]:
+                    return False
+
+
+def _d_by_the_path_algorithm(p, q):
+    """The d-invariants of L(p, q), sorted, as the boundary of the negative
+    definite linear plumbing on -hj_expansion(p, q): over the characteristic
+    start vectors with e_v + 2 <= <K, v> <= -e_v, the survivors of the path
+    give the maxima of (K^2 + n)/4 in their spin-c classes (Ozsvath and
+    Szabo, "On the Floer homology of plumbed three-manifolds", Geom. Topol. 7
+    (2003), section 3.1 and Corollary 1.5)."""
+    a = _hj_expansion(p, q)
+    starts = itertools.product(*(range(2 - ai, ai + 1, 2) for ai in a))
+    return sorted((_chain_square(a, k) + len(a)) / 4 for k in starts if _path_survives(a, k))
+
+
+def test_d_lens_matches_the_path_algorithm_of_the_plumbing():
+    # An independent route: nothing here reads the recursion that d_lens
+    # unrolls.  Lens spaces with p <= 40 whose plumbing has at most 2,000
+    # start vectors (the product of the a_i).
+    checked = 0
+    for p in range(2, 41):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1 and math.prod(_hj_expansion(p, q)) <= 2_000:
+                want = sorted(floer.d_lens(p, q, i) for i in range(p))
+                assert _d_by_the_path_algorithm(p, q) == want, (p, q)
+                checked += 1
+    assert checked == 425
+
+
 def test_spin_labels():
     assert floer.spin_labels(4, 3) == {1, 3}
     assert floer.spin_labels(5, 4) == {4}

@@ -1,5 +1,5 @@
 """Replay is total: every genuine verdict replays True after a JSON round
-trip, and no tampered verdict replays True or raises."""
+trip, and no tampered verdict, a forged note included, replays True or raises."""
 
 import json
 
@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 import drawn
 from qhpp import screening
 from qhpp.configuration import Configuration, ObstructionVerdict, Outcome, ResourceBudgetExceeded
-from qhpp.report import write_json
+from qhpp.report import verdict_json, write_json
 
 
 def _round_trip(verdict):
-    return json.loads(json.dumps(verdict.to_json()))
+    return json.loads(json.dumps(verdict_json(verdict)))
 
 
 def _verdict(data):
@@ -67,6 +67,7 @@ def _tampered_verdicts(data):
         if outcome.value != data["outcome"]:
             yield {**data, "outcome": outcome.value}
     yield {**data, "filter": data["filter"] + "x"}
+    yield {**data, "note": data.get("note", "") + "x"}
     for path, kind, new in _tampered(ev):
         # Only a search shows that the saved orbits are all the orbits, so
         # a Donaldson verdict with its last orbit dropped is taken at its
@@ -131,7 +132,7 @@ def test_every_drawn_configuration_replays_and_writes(members):
         verdicts = screening.screen(config, budget=200_000)
     except ResourceBudgetExceeded:
         return
-    saved = [v.to_json() for v in verdicts]
+    saved = [verdict_json(v) for v in verdicts]
     for data in json.loads(json.dumps(saved)):
         assert screening.replay_verdict(config, _verdict(data)) is True, (config.name, data)
     chunks = []

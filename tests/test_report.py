@@ -116,9 +116,31 @@ def test_loader_round_trips_every_report(classified, index):
 
 
 def _small_report(classified) -> dict:
-    data = report.report_to_json(classified(1))
-    data["candidates"] = [c for c in data["candidates"] if c["type"] in ("A4", "A8")]
-    return json.loads(json.dumps(data))
+    full = classified(1)
+    small = full._replace(candidates=tuple(
+        r for r in full.candidates if r.config.name in ("A4", "A8")))
+    return json.loads(json.dumps(report.report_to_json(small)))
+
+
+def test_loader_refuses_a_report_that_the_writer_would_not_write(classified):
+    # Members and verdicts are read; every other field is checked against
+    # what the writer derives from them.  The index-3 report without its
+    # survivors, with every K2 set to "99" and every L to -1, is refused,
+    # and so is a report with one D edited; the same subset of candidates,
+    # as the writer gives it, loads.
+    full = classified(3)
+    data = json.loads(_written(report.report_to_json(full)))
+    eliminated = [c for c in data["candidates"] if not c["survived"]]
+    doctored = {**data, "candidates": [{**c, "K2": "99", "L": -1} for c in eliminated]}
+    with pytest.raises(ValueError, match="derived field"):
+        report.load(json.dumps(doctored))
+    subset = full._replace(candidates=tuple(r for r in full.candidates if not r.survived))
+    assert len(report.load(json.dumps(report.report_to_json(subset))).candidates) == 113
+    first = data["candidates"][0]
+    edited = {**data, "candidates": [{**first, "D": str(int(first["D"]) + 1)}]
+              + data["candidates"][1:]}
+    with pytest.raises(ValueError, match="derived field"):
+        report.load(json.dumps(edited))
 
 
 def test_loader_refuses_floats_and_constants(classified):

@@ -184,7 +184,7 @@ def test_classify_index1(classified):
     report = classified(1)
     got = {r.config for r in report.survivors}
     assert got == _keyset(tables.INDEX1_SURVIVORS)
-    assert report.cross_checks["every_realizable_type_survives"]
+    assert report.missing_realizable == ()
     assert report.unmarked_survivors == ()
     # D8 falls to non-cyclic homology, A8 and A7 to the diagonalization test.
     by_key = {r.config: r for r in report.candidates}
@@ -197,7 +197,7 @@ def test_classify_index2(classified):
     report = classified(2)
     got = {r.config for r in report.survivors}
     assert got == _keyset(tables.INDEX2_SURVIVORS)
-    assert report.cross_checks["every_realizable_type_survives"]
+    assert report.missing_realizable == ()
     assert report.unmarked_survivors == ()
     by_key = {r.config: r for r in report.candidates}
     assert by_key[_key("K9")].verdict("donaldson").obstructed
@@ -213,7 +213,7 @@ def test_classify_index3(classified):
     got = {r.config for r in report.survivors}
     assert got == _keyset(tables.INDEX3_SURVIVORS)
     assert len(report.survivors) == 18
-    assert report.cross_checks["every_realizable_type_survives"]
+    assert report.missing_realizable == ()
     assert set(report.unmarked_survivors) == _keyset(tables.INDEX3_OPEN)
     by_key = {r.config: r for r in report.candidates}
     # The six case-3 eliminations via the diagonalization test.
